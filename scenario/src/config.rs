@@ -59,13 +59,19 @@ pub const QM_PREFIX_BATCHES: usize = 17;
 /// the median point query sits on the edge between waiting behind one and
 /// not, and its p50 jumps between runs.
 pub const QM_NOMINAL_QPS: f64 = 2_500.0;
+/// `*_SHARE`: the fraction of `--seconds` a measured phase runs for.
 pub const QM_FIXED_SHARE: f64 = 0.4;
 pub const QM_CAPACITY_SHARE: f64 = 0.6;
 pub const QM_CAPACITY_START_QPS: f64 = 10_000.0;
+/// In-memory restarts after the set-ups (each set-up is one too), so
+/// `ttfa_ms` is a median of five.
+pub const QM_EXTRA_RESTARTS: usize = 2;
 
 // churn-publish: 2 shards, durable.
 pub const CP_SHARDS: usize = 2;
-pub const CP_SNAPSHOT_EVERY: u64 = 48;
+/// Snapshot cadence: 100 batches leave snapshots at epochs 46 and 92 and
+/// a journaled suffix of 8 for the restarts to replay.
+pub const CP_SNAPSHOT_EVERY: u64 = 46;
 /// Batch arrival rate: keeps the parent's writer under half busy (49 %
 /// measured at 3.5/s); at 60 % queueing made publish latency swing by a
 /// third between seeds.
@@ -75,7 +81,7 @@ pub const CP_QUERY_QPS: f64 = 1_000.0;
 /// Batches per run: enough for a p90 with ten samples beyond it. The
 /// churn phase lasts as long as they take to arrive (about 33 s).
 pub const CP_BATCHES: usize = 100;
-pub const CP_CAPACITY_SHARE: f64 = 0.3;
+pub const CP_CAPACITY_SHARE: f64 = 0.5;
 pub const CP_CAPACITY_START_QPS: f64 = 10_000.0;
 /// Restarts of the churned data dir; `ttfa_ms` is their median.
 pub const CP_RESTARTS: usize = 5;
@@ -88,7 +94,7 @@ pub const CP_RESTARTS: usize = 5;
 pub const RS_S: usize = 16;
 pub const RS_J: usize = 4;
 pub const RS_RESTART_SHARE: f64 = 0.7;
-pub const RS_CAPACITY_SHARE: f64 = 0.3;
+pub const RS_CAPACITY_SHARE: f64 = 0.5;
 pub const RS_MIN_RESTARTS: usize = 5;
 /// Queries offered right after each restart's first answer.
 pub const RS_BURST_QUERIES: usize = 256;

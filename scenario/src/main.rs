@@ -60,19 +60,22 @@ const WORKLOADS: [(&str, &str); 3] = [
 /// End-to-end metrics reported in the result (with `--trace 0`): the ones
 /// steady enough across seeds on a 2-vCPU host to carry a regression
 /// bound.
-const END_TO_END: [&str; 6] = [
+const END_TO_END: [&str; 5] = [
     "setup_s",
     "point_p50_us",
-    "query_capacity_qps",
     "publish_p50_ms",
     "ttfa_ms",
     "peak_rss_mb",
 ];
 
-/// End-to-end tails printed beside them but left out of the result: they
-/// follow the graph's hub structure (set-query and batch cost) and vary by
-/// 30–40 % across seeds, more than any regression bound could allow.
-const PRINTED_ONLY: [&str; 5] = [
+/// End-to-end figures printed beside them but left out of the result. The
+/// tails follow the graph's hub structure (set-query and batch cost) and
+/// vary by 30–40 % across seeds; the capacity search's crossing lands
+/// wherever a host stall tips one rung, and its spread across seeds ran
+/// from 0.07 to 0.27 between otherwise identical sets of runs. Neither
+/// can carry a regression bound.
+const PRINTED_ONLY: [&str; 6] = [
+    "query_capacity_qps",
     "point_p90_us",
     "point_p99_us",
     "set_p90_us",

@@ -771,6 +771,16 @@ pub fn query_mix(ctx: &mut Ctx) {
         },
         Server::shutdown,
     );
+    for _ in 0..QM_EXTRA_RESTARTS {
+        let span = ctx.tracer.begin_request("bench.restart");
+        let t0 = Instant::now();
+        let engine = ServeEngine::new(trace.base.clone(), cfg).expect("valid engine");
+        let (restarted, _, first_ms) = start_server(ctx, engine, probe);
+        ttfa.push(ms(t0.elapsed()));
+        ctx.tracer.end(span);
+        ctx.rep.first_answer_ms.push(first_ms);
+        restarted.shutdown();
+    }
     let after_setup = Scrape::take(&mut ctx.tracer);
     ctx.rep.set("ttfa_ms", median(ttfa.clone()), "ms");
     ctx.rep.info(format!(
