@@ -66,6 +66,22 @@ pub fn reset_peak_rss() {
     std::fs::write("/proc/self/clear_refs", "5").expect("reset VmHWM via /proc/self/clear_refs");
 }
 
+/// Cumulative steal and total CPU time of the whole machine, in clock
+/// ticks (the `cpu` line of `/proc/stat`); `None` where it is unreadable.
+/// Steal is time a vCPU was runnable but the hypervisor ran something
+/// else, so its share over a run shows how much the host got in the way.
+pub fn cpu_ticks() -> Option<(u64, u64)> {
+    let stat = std::fs::read_to_string("/proc/stat").ok()?;
+    let fields: Vec<u64> = stat
+        .lines()
+        .next()?
+        .strip_prefix("cpu ")?
+        .split_whitespace()
+        .map(|f| f.parse().ok())
+        .collect::<Option<_>>()?;
+    Some((*fields.get(7)?, fields.iter().sum()))
+}
+
 /// The process's peak resident set (`VmHWM`), in MB.
 pub fn peak_rss_mb() -> f64 {
     let status = std::fs::read_to_string("/proc/self/status").expect("/proc/self/status readable");

@@ -262,6 +262,7 @@ fn main() {
          edits; {SETUPS} set-ups per run"
     );
 
+    let ticks_start = host::cpu_ticks();
     let keepers = host::IdleKeepers::start(nproc());
     println!(
         "# idle keepers: {}",
@@ -297,6 +298,12 @@ fn main() {
     }
     if let Some(k) = keepers {
         k.stop();
+    }
+    if let (Some((s0, t0)), Some((s1, t1))) = (ticks_start, host::cpu_ticks()) {
+        ctx.rep.info(format!(
+            "host steal: {:.2}% of CPU time during the run",
+            100.0 * (s1 - s0) as f64 / (t1 - t0).max(1) as f64
+        ));
     }
     std::fs::remove_dir_all(&work).expect("remove the scratch directory");
     // Leaves the root only when spans were written into it.
