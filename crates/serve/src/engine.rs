@@ -28,11 +28,10 @@ use crate::Result;
 ///    beneath outstanding pins. With **no** outstanding snapshot (direct
 ///    `ServeEngine` use between pins) the refresh mutates in place;
 ///    under a [`crate::Server`], the published snapshot itself is a
-///    standing pin, so each batch first clones the index (one bulk
-///    memcpy, cheap next to the re-walk work and far below a rebuild)
-///    before the output-sensitive refresh patches it. Pushing the COW
-///    boundary down to per-layer granularity — so a standing pin only
-///    copies touched layers — is the noted ROADMAP follow-up.
+///    standing pin, so each batch first clones the index. That clone
+///    shares every column with the pin; the refresh writes fresh columns
+///    for the layers it patches and copies only the per-node aggregates,
+///    so untouched layers are never copied at all.
 #[derive(Debug)]
 pub struct ServeEngine {
     backend: Backend,
@@ -174,9 +173,11 @@ impl ServeEngine {
         // outstanding the refresh then mutates the index in place; with
         // one outstanding (any reader, or the snapshot a `Server` keeps
         // published), `Arc::make_mut` inside the stream layer clones
-        // before touching anything the pin can observe. Either way a new
-        // snapshot is published afterwards — on error the engine state is
-        // unchanged, so republishing it is correct.
+        // before touching anything the pin can observe. The clone shares
+        // the pinned columns, so it costs refcount bumps plus the 16 B/node
+        // aggregates, not an index copy. Either way a new snapshot is
+        // published afterwards — on error the engine state is unchanged,
+        // so republishing it is correct.
         self.current = None;
         let result = match &mut self.backend {
             Backend::Plain(s) => s.apply(batch),

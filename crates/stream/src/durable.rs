@@ -593,15 +593,22 @@ pub(crate) fn load_snapshot(snap_dir: &Path, mode: OpenMode) -> Result<StreamEng
     };
     let weighted = m[57] != 0;
     let n = u64_at(58) as usize;
-    let shard_count = u64_at(66) as usize;
-    if m.len() != fixed + shard_count * 16 {
+    let shard_count = u64_at(66);
+    // The count comes from the file: size its ranges with checked
+    // arithmetic, and allocate for them only once the bytes are there.
+    let need = usize::try_from(shard_count)
+        .ok()
+        .and_then(|c| c.checked_mul(16))
+        .and_then(|b| b.checked_add(fixed));
+    if need != Some(m.len()) {
         return Err(corrupt(format!(
-            "manifest in {} sizes {} bytes but its {shard_count} shard ranges need {}",
+            "manifest in {} sizes {} bytes but declares {shard_count} shard ranges \
+             of 16 bytes each after its {fixed}-byte header",
             snap_dir.display(),
-            m.len(),
-            fixed + shard_count * 16
+            m.len()
         )));
     }
+    let shard_count = shard_count as usize;
     let mut ranges = Vec::with_capacity(shard_count);
     for i in 0..shard_count {
         let start = u64_at(fixed + i * 16) as usize;
@@ -1044,6 +1051,31 @@ mod tests {
             DurableEngine::create(engine, &dir, DurabilityConfig::default()).unwrap_err(),
             StreamError::InvalidConfig(_)
         ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn manifest_with_huge_shard_count_is_refused_by_name() {
+        let dir = tmp_dir("hugeshards");
+        let g0 = erdos_renyi_gnp(30, 0.12, 2).unwrap();
+        let engine = StreamEngine::new(g0, cfg()).unwrap();
+        drop(DurableEngine::create(engine, &dir, DurabilityConfig::default()).unwrap());
+        // Rewrite the manifest with a valid CRC, `shard_count = 2^60` and no
+        // range bytes: `2^60 * 16` wraps to 0 in u64, so only checked
+        // arithmetic tells this size apart from an empty range table.
+        let path = dir.join("snap-0").join("manifest.bin");
+        let bytes = std::fs::read(&path).unwrap();
+        let fixed = 8 + 8 * 6 + 1 + 8 + 1 + 8 + 8; // magic + body header
+        let mut content = bytes[..fixed].to_vec();
+        content[fixed - 8..].copy_from_slice(&(1u64 << 60).to_le_bytes());
+        let sum = crc32(&content);
+        content.extend_from_slice(&sum.to_le_bytes());
+        std::fs::write(&path, &content).unwrap();
+        let err = DurableEngine::open(&dir, DurabilityConfig::default()).unwrap_err();
+        assert!(
+            matches!(&err, StreamError::CorruptSnapshot(m) if m.contains("shard ranges")),
+            "{err}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -21,9 +21,11 @@ use crate::batch::{GraphDelta, WeightedGraphDelta};
 /// The index lives behind an [`Arc`] so the serving layer can pin a
 /// snapshot of one epoch at zero cost: [`IncrementalIndex::share`] hands
 /// out the current epoch's handle, and the next `apply` mutates in place
-/// when no snapshot still holds it (the steady state) or transparently
-/// clones first when one does (`Arc::make_mut`), so a pinned reader never
-/// observes a mid-refresh index.
+/// when no snapshot still holds it or transparently clones first when one
+/// does (`Arc::make_mut`), so a pinned reader never observes a
+/// mid-refresh index. That clone shares every column with the pin (a
+/// refcount bump each); the refresh then writes fresh columns for the
+/// layers it changes and copies only the 16 B/node aggregates.
 #[derive(Clone, Debug)]
 pub struct IncrementalIndex {
     idx: Arc<WalkIndex>,

@@ -191,18 +191,13 @@ struct Layer {
 }
 
 /// The recycled heap buffers of a displaced [`Layer`] generation (see
-/// [`PatchScratch::buf`]). A mapped column has no heap buffer to recycle,
-/// so displacing a mapped layer yields empty vectors — the next patch
-/// simply allocates fresh, which is exactly the copy-on-write promotion
-/// cost.
+/// [`PatchScratch::buf`]). A mapped or still-shared column has no heap
+/// buffer to give up, so it yields an empty vector — the next patch simply
+/// allocates fresh, which is exactly the copy-on-write cost.
 #[derive(Default)]
 struct LayerBufs {
-    offsets: Vec<u32>,
-    ids: Vec<u32>,
-    weights: Vec<u16>,
-    fwd_offsets: Vec<u32>,
-    fwd_ids: Vec<u32>,
-    fwd_weights: Vec<u16>,
+    inv: CsrBufs,
+    fwd: CsrBufs,
 }
 
 impl Layer {
@@ -225,15 +220,20 @@ impl Layer {
         }
     }
 
-    /// Reclaims the heap buffers for recycling (empty for mapped columns).
+    /// Reclaims the heap buffers for recycling (empty for mapped or shared
+    /// columns).
     fn into_bufs(self) -> LayerBufs {
         LayerBufs {
-            offsets: self.offsets.take_buffer(),
-            ids: self.ids.take_buffer(),
-            weights: self.weights.take_buffer(),
-            fwd_offsets: self.fwd_offsets.take_buffer(),
-            fwd_ids: self.fwd_ids.take_buffer(),
-            fwd_weights: self.fwd_weights.take_buffer(),
+            inv: CsrBufs {
+                offsets: self.offsets.take_buffer(),
+                ids: self.ids.take_buffer(),
+                weights: self.weights.take_buffer(),
+            },
+            fwd: CsrBufs {
+                offsets: self.fwd_offsets.take_buffer(),
+                ids: self.fwd_ids.take_buffer(),
+                weights: self.fwd_weights.take_buffer(),
+            },
         }
     }
 
@@ -597,12 +597,14 @@ struct PatchScratch {
     /// Reused staging for the fresh postings re-sorted by `(owner, src)`.
     adds: Vec<Triple>,
     /// Recycled column buffers: each patch builds the next epoch's columns
-    /// here and swaps them with the layer's, so steady-state refreshes
-    /// reuse two generations of allocations instead of mallocing ~12 bytes
-    /// per posting per epoch. Together with the stamp arrays this keeps the
-    /// per-layer patch free of `O(n)` allocations. A displaced *mapped*
-    /// layer contributes empty buffers (its bytes belong to the map), which
-    /// is precisely the one-time copy-on-write promotion cost.
+    /// here and swaps them with the layer's, so the next layer patched by
+    /// this worker reuses the displaced generation's allocations instead
+    /// of mallocing ~12 bytes per posting. Together with the stamp arrays
+    /// this keeps the per-layer patch free of `O(n)` allocations. A
+    /// displaced layer whose columns are still shared — by a pinned
+    /// snapshot of the previous epoch, or by a mapped file — contributes
+    /// empty buffers: those bytes stay with their other holder, and the
+    /// next patch allocates fresh columns instead of copying them.
     buf: LayerBufs,
 }
 
@@ -636,8 +638,9 @@ impl PatchScratch {
 /// Patches one layer for the next graph epoch: detects the affected walk
 /// groups through the *old* inverted lists of the touched nodes, re-walks
 /// exactly those groups on the new graph, and rebuilds both CSR views with
-/// **row-level** surgery — rows owned by unaffected nodes are copied
-/// verbatim (bulk `memcpy`), only rows with stale or fresh postings are
+/// **row-level** surgery — each maximal run of rows no affected group
+/// touches is copied verbatim (one bulk `memcpy` per column, offsets
+/// shifted by a constant), only rows with stale or fresh postings are
 /// re-merged. The canonical orders are preserved exactly (inverted rows:
 /// ascending source; forward rows: ascending hop = walk order), so the
 /// patched layer is bit-identical to the layer a from-scratch build on the
@@ -709,14 +712,19 @@ where
     // --- 3. per-owner deltas: stale rows, fresh rows, aggregate edits ---
     // Owners needing a re-merge are exactly those losing a stale posting
     // (they appear in an affected source's old forward list) or gaining a
-    // fresh one; every other row is copied wholesale below.
+    // fresh one. `owners` lists each once; sorted, it bounds the runs of
+    // untouched rows that step 4 copies wholesale.
+    let mut owners: Vec<u32> = Vec::new();
     for &src in &affected_srcs {
         let lo = layer.fwd_offsets[src as usize] as usize;
         let hi = layer.fwd_offsets[src as usize + 1] as usize;
         out.postings_removed += hi - lo;
         for k in lo..hi {
             let owner = layer.fwd_ids[k] as usize;
-            ws.owner_stamp[owner] = stamp;
+            if ws.owner_stamp[owner] != stamp {
+                ws.owner_stamp[owner] = stamp;
+                owners.push(owner as u32);
+            }
             ws.agg_dcount[owner] -= 1;
             ws.agg_dhops[owner] -= layer.fwd_weights[k] as i64;
         }
@@ -729,10 +737,14 @@ where
     ws.adds
         .sort_unstable_by_key(|&(owner, src, _)| (owner, src));
     for &(owner, _, hop) in &ws.adds {
-        ws.owner_stamp[owner as usize] = stamp;
+        if ws.owner_stamp[owner as usize] != stamp {
+            ws.owner_stamp[owner as usize] = stamp;
+            owners.push(owner);
+        }
         ws.agg_dcount[owner as usize] += 1;
         ws.agg_dhops[owner as usize] += hop as i64;
     }
+    owners.sort_unstable();
 
     // --- 3b. net edit script: verbatim reproductions cancel here --------
     // A resampled walk that diverges late (or never) re-emits most of its
@@ -782,97 +794,92 @@ where
         }
     }
 
-    // --- 4. inverted columns: row-level rebuild -------------------------
+    // --- 4. inverted columns: verbatim runs copied, stamped rows merged --
     let new_total = layer.ids.len() + out.postings_added - out.postings_removed;
     assert!(
         new_total <= u32::MAX as usize,
         "layer posting count {new_total} overflows u32 CSR offsets"
     );
-    let mut offsets = std::mem::take(&mut ws.buf.offsets);
-    offsets.clear();
-    offsets.reserve(n + 1);
-    offsets.push(0u32);
-    let mut ids = std::mem::take(&mut ws.buf.ids);
-    ids.clear();
-    ids.reserve(new_total);
-    let mut weights = std::mem::take(&mut ws.buf.weights);
-    weights.clear();
-    weights.reserve(new_total);
+    let LayerBufs { inv, fwd } = std::mem::take(&mut ws.buf);
+    let mut inv = inv.reset(n, new_total);
     let mut ac = 0usize; // cursor into ws.adds (owner-ascending)
-    for v in 0..n {
+    let mut next = 0usize; // first row not yet emitted
+    for &v in &owners {
+        let v = v as usize;
+        inv.copy_rows(&layer.offsets, &layer.ids, &layer.weights, next, v);
+        next = v + 1;
+        // Merge kept old entries (stale sources dropped) with this owner's
+        // adds, both ascending by source id. All adds belong to stamped
+        // owners, visited ascending, so the cursor already sits at `v`'s
+        // first add.
+        let mut ahi = ac;
+        while ahi < ws.adds.len() && ws.adds[ahi].0 as usize == v {
+            ahi += 1;
+        }
         let lo = layer.offsets[v] as usize;
         let hi = layer.offsets[v + 1] as usize;
-        if ws.owner_stamp[v] != stamp {
-            ids.extend_from_slice(&layer.ids[lo..hi]);
-            weights.extend_from_slice(&layer.weights[lo..hi]);
-        } else {
-            // Merge kept old entries (stale sources dropped) with this
-            // owner's adds, both ascending by source id. All adds belong to
-            // stamped owners, and the outer loop visits owners ascending,
-            // so the cursor is already positioned at `v`'s first add.
-            let mut ahi = ac;
-            while ahi < ws.adds.len() && ws.adds[ahi].0 as usize == v {
-                ahi += 1;
+        for k in lo..hi {
+            let src = layer.ids[k];
+            if ws.affected[src as usize] == stamp {
+                continue;
             }
-            for k in lo..hi {
-                let src = layer.ids[k];
-                if ws.affected[src as usize] == stamp {
-                    continue;
-                }
-                while ac < ahi && ws.adds[ac].1 < src {
-                    ids.push(ws.adds[ac].1);
-                    weights.push(ws.adds[ac].2);
-                    ac += 1;
-                }
-                ids.push(src);
-                weights.push(layer.weights[k]);
+            while ac < ahi && ws.adds[ac].1 < src {
+                inv.push(ws.adds[ac].1, ws.adds[ac].2);
+                ac += 1;
             }
-            for &(_, src, hop) in &ws.adds[ac..ahi] {
-                ids.push(src);
-                weights.push(hop);
-            }
-            ac = ahi;
+            inv.push(src, layer.weights[k]);
         }
-        offsets.push(ids.len() as u32);
+        for &(_, src, hop) in &ws.adds[ac..ahi] {
+            inv.push(src, hop);
+        }
+        ac = ahi;
+        inv.end_row();
     }
+    inv.copy_rows(&layer.offsets, &layer.ids, &layer.weights, next, n);
 
-    // --- 5. forward columns: affected rows spliced, others copied -------
-    let mut fwd_offsets = std::mem::take(&mut ws.buf.fwd_offsets);
-    fwd_offsets.clear();
-    fwd_offsets.reserve(n + 1);
-    fwd_offsets.push(0u32);
-    let mut fwd_ids = std::mem::take(&mut ws.buf.fwd_ids);
-    fwd_ids.clear();
-    fwd_ids.reserve(new_total);
-    let mut fwd_weights = std::mem::take(&mut ws.buf.fwd_weights);
-    fwd_weights.clear();
-    fwd_weights.reserve(new_total);
-    let mut next_aff = 0usize;
-    for src in 0..n {
-        if next_aff < affected_srcs.len() && affected_srcs[next_aff] as usize == src {
-            let tlo = new_src_bounds[next_aff] as usize;
-            let thi = new_src_bounds[next_aff + 1] as usize;
-            for &(owner, _, hop) in &new_triples[tlo..thi] {
-                fwd_ids.push(owner);
-                fwd_weights.push(hop);
-            }
-            next_aff += 1;
-        } else {
-            let lo = layer.fwd_offsets[src] as usize;
-            let hi = layer.fwd_offsets[src + 1] as usize;
-            fwd_ids.extend_from_slice(&layer.fwd_ids[lo..hi]);
-            fwd_weights.extend_from_slice(&layer.fwd_weights[lo..hi]);
+    // --- 5. forward columns: affected rows spliced, runs copied ---------
+    let mut fwd = fwd.reset(n, new_total);
+    let mut next = 0usize;
+    for (gi, &src) in affected_srcs.iter().enumerate() {
+        let src = src as usize;
+        fwd.copy_rows(
+            &layer.fwd_offsets,
+            &layer.fwd_ids,
+            &layer.fwd_weights,
+            next,
+            src,
+        );
+        next = src + 1;
+        let tlo = new_src_bounds[gi] as usize;
+        let thi = new_src_bounds[gi + 1] as usize;
+        for &(owner, _, hop) in &new_triples[tlo..thi] {
+            fwd.push(owner, hop);
         }
-        fwd_offsets.push(fwd_ids.len() as u32);
+        fwd.end_row();
     }
+    fwd.copy_rows(
+        &layer.fwd_offsets,
+        &layer.fwd_ids,
+        &layer.fwd_weights,
+        next,
+        n,
+    );
 
     // Swap the fresh (always owned) columns in and keep the displaced
     // generation as the next patch's buffers. When the displaced layer was
-    // mapped, this swap *is* the copy-on-write promotion: exactly this
-    // layer's columns leave the file region, untouched layers stay mapped.
+    // mapped or pinned, this swap *is* the copy-on-write: exactly this
+    // layer's columns leave the file region or the pinned epoch, and
+    // untouched layers stay shared.
     let displaced = std::mem::replace(
         layer,
-        Layer::owned(offsets, ids, weights, fwd_offsets, fwd_ids, fwd_weights),
+        Layer::owned(
+            inv.offsets,
+            inv.ids,
+            inv.weights,
+            fwd.offsets,
+            fwd.ids,
+            fwd.weights,
+        ),
     );
     ws.buf = displaced.into_bufs();
     deltas.push(LayerDelta {
@@ -882,6 +889,56 @@ where
         added,
     });
     out
+}
+
+/// The column buffers of one CSR view (offsets, ids, weights); during a
+/// patch, the view being written row by row.
+#[derive(Default)]
+struct CsrBufs {
+    offsets: Vec<u32>,
+    ids: Vec<u32>,
+    weights: Vec<u16>,
+}
+
+impl CsrBufs {
+    /// Clears the buffers and sizes them for `n` rows holding `total`
+    /// postings.
+    fn reset(mut self, n: usize, total: usize) -> CsrBufs {
+        self.offsets.clear();
+        self.offsets.reserve(n + 1);
+        self.offsets.push(0);
+        self.ids.clear();
+        self.ids.reserve(total);
+        self.weights.clear();
+        self.weights.reserve(total);
+        self
+    }
+
+    /// Appends one posting to the row being written.
+    fn push(&mut self, id: u32, weight: u16) {
+        self.ids.push(id);
+        self.weights.push(weight);
+    }
+
+    /// Closes the row being written.
+    fn end_row(&mut self) {
+        self.offsets.push(self.ids.len() as u32);
+    }
+
+    /// Copies rows `[a, b)` of the old view verbatim: one bulk copy per
+    /// column, and the run's offsets shifted by one constant.
+    fn copy_rows(&mut self, offsets: &[u32], ids: &[u32], weights: &[u16], a: usize, b: usize) {
+        if a >= b {
+            return;
+        }
+        let (lo, hi) = (offsets[a], offsets[b]);
+        let base = self.ids.len() as u32;
+        self.ids.extend_from_slice(&ids[lo as usize..hi as usize]);
+        self.weights
+            .extend_from_slice(&weights[lo as usize..hi as usize]);
+        self.offsets
+            .extend(offsets[a + 1..=b].iter().map(|&o| o - lo + base));
+    }
 }
 
 /// Walks nodes `[lo, hi)` of one layer, appending first-visit triples.
@@ -1371,16 +1428,22 @@ impl WalkIndex {
             partials.push(patch_chunk(0, &mut self.layers));
         } else {
             let chunk = r.div_ceil(workers);
+            // The calling thread patches the first chunk itself instead of
+            // idling in `join`. Under a pin every patched layer is a fresh
+            // allocation, and keeping a share of them on the long-lived
+            // caller's heap arena rather than on short-lived workers' arenas
+            // lowers what glibc keeps resident once the pinned epochs drop.
             std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .layers
-                    .chunks_mut(chunk)
+                let mut chunks = self.layers.chunks_mut(chunk);
+                let first = chunks.next().expect("r >= workers >= 2 layers");
+                let handles: Vec<_> = chunks
                     .enumerate()
                     .map(|(ci, layers)| {
                         let patch_chunk = &patch_chunk;
-                        scope.spawn(move || patch_chunk(ci * chunk, layers))
+                        scope.spawn(move || patch_chunk((ci + 1) * chunk, layers))
                     })
                     .collect();
+                partials.push(patch_chunk(0, first));
                 for h in handles {
                     partials.push(h.join().expect("refresh worker panicked"));
                 }
@@ -1390,9 +1453,11 @@ impl WalkIndex {
         // scripts keeps the delta ascending by absolute layer — the same
         // canonical order a single-threaded refresh emits.
         let mut delta = PostingDelta::default();
-        // Any non-empty refresh may edit the aggregates, so promote them to
-        // owned up front (a 16 B/node copy at most — negligible next to the
-        // column surgery above, and a no-op for an already-owned index).
+        // Any non-empty refresh may edit the aggregates, so make them
+        // uniquely owned up front: a 16 B/node copy when they are mapped or
+        // shared with a pinned snapshot, a no-op otherwise. The layers need
+        // no such copy: each patch above wrote fresh columns and left the
+        // pinned ones untouched.
         let counts = self.posting_counts.make_mut();
         let hop_sums = self.posting_hop_sums.make_mut();
         for (p, deltas, dcount, dhops) in partials {
@@ -3302,6 +3367,46 @@ mod tests {
             idx == fresh,
             "maintained weighted index must equal a rebuild"
         );
+    }
+
+    /// Every column's storage address, layer by layer, then the aggregates.
+    fn column_ptrs(idx: &WalkIndex) -> Vec<usize> {
+        let mut ptrs = Vec::new();
+        for layer in &idx.layers {
+            ptrs.extend([
+                layer.offsets.as_ptr() as usize,
+                layer.ids.as_ptr() as usize,
+                layer.weights.as_ptr() as usize,
+                layer.fwd_offsets.as_ptr() as usize,
+                layer.fwd_ids.as_ptr() as usize,
+                layer.fwd_weights.as_ptr() as usize,
+            ]);
+        }
+        ptrs.push(idx.posting_counts.as_ptr() as usize);
+        ptrs.push(idx.posting_hop_sums.as_ptr() as usize);
+        ptrs
+    }
+
+    #[test]
+    fn clone_shares_columns_and_refresh_leaves_the_pin_intact() {
+        let g0 = rwd_graph::generators::erdos_renyi_gnp(80, 0.06, 11).unwrap();
+        let (g1, touched) = g0.with_edits(&[(0, 79), (3, 41)], &[]).unwrap();
+        let touched = NodeSet::from_nodes(g1.n(), touched);
+        let pinned = WalkIndex::build(&g0, 5, 6, 23);
+        let mut live = pinned.clone();
+        let before = column_ptrs(&pinned);
+        assert_eq!(column_ptrs(&live), before, "a clone shares every column");
+
+        // Refreshing the clone writes fresh columns; the pinned holder keeps
+        // its storage and its bits.
+        live.refresh(&g1, &touched);
+        assert_eq!(column_ptrs(&pinned), before);
+        assert!(pinned == WalkIndex::build(&g0, 5, 6, 23));
+        assert!(live == WalkIndex::build(&g1, 5, 6, 23));
+        // A touched node's own group resamples in every layer, so every
+        // column of the live index is new.
+        let after = column_ptrs(&live);
+        assert!(after.iter().zip(&before).all(|(a, b)| a != b));
     }
 
     #[test]

@@ -3,18 +3,21 @@
 //!
 //! [`Column<T>`] is the store behind each [`Layer`] column
 //! (`offsets`/`ids`/`weights` and the forward triplet) and the per-node
-//! aggregate tables. An `Owned` column is a plain `Vec<T>`; a `Mapped`
-//! column is an aligned window into an [`MmapRegion`] reinterpreted in
-//! place as `[T]` — no parse, no copy, pages fault in on first touch.
-//! Both deref to `&[T]`, so every consumer (postings views, point
-//! queries, gain engines, `save`) reads the same slice type and cannot
-//! observe which store backs it.
+//! aggregate tables. An `Owned` column is an `Arc<Vec<T>>`, shared by
+//! every clone; a `Mapped` column is an aligned window into an
+//! [`MmapRegion`] reinterpreted in place as `[T]` — no parse, no copy,
+//! pages fault in on first touch. Both deref to `&[T]`, so every consumer
+//! (postings views, point queries, gain engines, `save`) reads the same
+//! slice type and cannot observe which store backs it.
 //!
-//! Mutation promotes: [`Column::make_mut`] copies a mapped column to an
-//! owned `Vec` on first write. The refresh path swaps whole rebuilt
-//! columns per layer, so promotion lands exactly at layer grain — a
-//! promoted-then-edited index is bitwise equal to an owned-then-edited
-//! one (see `tests/storage_equivalence.rs`).
+//! Either store clones in O(1), so cloning a whole index (the
+//! copy-on-write step when a reader still pins the current epoch) bumps
+//! refcounts instead of copying postings. Mutation copies only what is
+//! shared: [`Column::make_mut`] promotes a mapped column to an owned
+//! `Vec`, and copies an owned one only while another holder shares it.
+//! The refresh path swaps whole rebuilt columns per layer, so promotion
+//! lands exactly at layer grain — a promoted-then-edited index is bitwise
+//! equal to an owned-then-edited one (see `tests/storage_equivalence.rs`).
 //!
 //! The mmap itself is a minimal std-only `mmap(2)`/`munmap(2)` FFI
 //! wrapper (`PROT_READ`, `MAP_PRIVATE`) — no crates. Zero-copy
@@ -183,7 +186,8 @@ mod sys {
 }
 
 /// One posting column: heap-owned or a zero-copy window into a mapped
-/// index file. Dereferences to `&[T]` either way.
+/// index file. Dereferences to `&[T]` either way; cloning shares the
+/// storage.
 #[derive(Clone)]
 pub struct Column<T: Pod> {
     repr: Repr<T>,
@@ -191,7 +195,7 @@ pub struct Column<T: Pod> {
 
 #[derive(Clone)]
 enum Repr<T: Pod> {
-    Owned(Vec<T>),
+    Owned(Arc<Vec<T>>),
     Mapped {
         region: Arc<MmapRegion>,
         /// Byte offset of the first element inside the region; the
@@ -208,7 +212,7 @@ impl<T: Pod> Column<T> {
     /// A heap-owned column.
     pub fn owned(v: Vec<T>) -> Column<T> {
         Column {
-            repr: Repr::Owned(v),
+            repr: Repr::Owned(Arc::new(v)),
         }
     }
 
@@ -266,7 +270,8 @@ impl<T: Pod> Column<T> {
         matches!(self.repr, Repr::Mapped { .. })
     }
 
-    /// Bytes of heap this column owns (0 when mapped).
+    /// Bytes of heap this column references (0 when mapped). A buffer
+    /// shared by several clones counts in full in each of them.
     pub fn heap_bytes(&self) -> usize {
         match &self.repr {
             Repr::Owned(v) => v.len() * std::mem::size_of::<T>(),
@@ -282,24 +287,27 @@ impl<T: Pod> Column<T> {
         }
     }
 
-    /// Mutable access, promoting a mapped column to an owned copy first
-    /// (copy-on-write: the mapped bytes are untouched).
+    /// Mutable access, copy-on-write: a mapped column is promoted to an
+    /// owned copy, and an owned buffer another clone still shares is
+    /// copied first. Neither the mapped bytes nor the other holders'
+    /// values change.
     pub fn make_mut(&mut self) -> &mut Vec<T> {
         if let Repr::Mapped { .. } = self.repr {
-            self.repr = Repr::Owned(self.as_slice().to_vec());
+            self.repr = Repr::Owned(Arc::new(self.as_slice().to_vec()));
         }
         match &mut self.repr {
-            Repr::Owned(v) => v,
+            Repr::Owned(v) => Arc::make_mut(v),
             Repr::Mapped { .. } => unreachable!("just promoted"),
         }
     }
 
     /// Recovers the backing `Vec` for buffer recycling: the vector itself
-    /// for an owned column, an empty one for a mapped column (there is no
-    /// heap buffer to recycle — the map stays with its region).
+    /// for an unshared owned column, an empty one otherwise (a shared
+    /// buffer stays with its other holders, and a map stays with its
+    /// region).
     pub fn take_buffer(self) -> Vec<T> {
         match self.repr {
-            Repr::Owned(v) => v,
+            Repr::Owned(v) => Arc::try_unwrap(v).unwrap_or_default(),
             Repr::Mapped { .. } => Vec::new(),
         }
     }
@@ -385,6 +393,28 @@ mod tests {
         assert!(!c.is_mapped());
         assert_eq!(c.heap_bytes(), 12);
         assert_eq!(c.mapped_bytes(), 0);
+    }
+
+    #[test]
+    fn owned_clones_share_storage_until_written() {
+        let a: Column<u32> = Column::owned(vec![1, 2, 3]);
+        let mut b = a.clone();
+        assert_eq!(a.as_ptr(), b.as_ptr(), "a clone shares the buffer");
+        // Writing through a shared clone copies; the other holder keeps
+        // its bytes.
+        b.make_mut()[0] = 9;
+        assert_ne!(a.as_ptr(), b.as_ptr());
+        assert_eq!(&a[..], &[1, 2, 3]);
+        assert_eq!(&b[..], &[9, 2, 3]);
+        // An unshared buffer is written in place and recycled whole.
+        let ptr = b.as_ptr();
+        b.make_mut()[1] = 8;
+        assert_eq!(b.as_ptr(), ptr);
+        assert_eq!(b.take_buffer(), vec![9, 8, 3]);
+        // A shared buffer is not recycled: it stays with the other holder.
+        let c = a.clone();
+        assert!(c.take_buffer().is_empty());
+        assert_eq!(&a[..], &[1, 2, 3]);
     }
 
     #[cfg(unix)]

@@ -12,14 +12,24 @@
 //! (`crates/walks/tests/storage.rs`); this suite pins the *consumers*:
 //! point queries, coverage/uncovered ranking, both gain engines, and the
 //! shard-grain maintenance loop.
+//!
+//! Owned columns are shared between an index and its clones, so a reader
+//! pinning an epoch shares storage with the engine that refreshes past it.
+//! The pinned-refresh case holds every epoch's pins across the whole churn
+//! trace and checks that neither side can see the other's writes.
 
 use proptest::prelude::*;
 use proptest::Strategy as PropStrategy;
 use rwd::core::greedy::{DeltaGainEngine, GainEngine, GainRule};
+use rwd::datasets::temporal::trace_weight;
+use rwd::graph::weighted::{weighted_twin, WeightedCsrGraph};
 use rwd::prelude::*;
+use rwd::stream::{EdgeBatch, StreamConfig};
 use rwd::walks::LayerRange;
+use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 const THREADS: [usize; 3] = [1, 2, 8];
 const SHARDS: [usize; 3] = [1, 2, 4];
@@ -216,4 +226,158 @@ fn promote_on_refresh_matches_owned_refresh_across_shards_and_threads() {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A random graph, walk parameters (`r ≥ 2`, so two shards always tile)
+/// and a few churn batches: each pick toggles a pair, deleting it when
+/// live and inserting it when absent.
+fn churn_instance() -> impl PropStrategy<Value = (CsrGraph, Vec<EdgeBatch>, u32, usize, u64)> {
+    (8usize..=40)
+        .prop_flat_map(|n| {
+            let pair = (0..n as u32, 0..n as u32);
+            (
+                proptest::collection::vec(pair.clone(), n / 2..=2 * n),
+                proptest::collection::vec(proptest::collection::vec(pair, 1..=6), 1..=4),
+                Just(n),
+                2u32..=6,   // l
+                2usize..=6, // r
+                0u64..u64::MAX,
+            )
+        })
+        .prop_map(|(edges, picks, n, l, r, seed)| {
+            let g = CsrGraph::from_edges(n, &edges).expect("valid edges");
+            let mut live: HashSet<(u32, u32)> =
+                g.edges().map(|(u, v)| (u.raw(), v.raw())).collect();
+            let mut batches = Vec::new();
+            for (t, batch_picks) in picks.iter().enumerate() {
+                let mut batch = EdgeBatch::new(t as u64);
+                let mut edited = HashSet::new();
+                for &(a, b) in batch_picks {
+                    let e = (a.min(b), a.max(b));
+                    if a == b || !edited.insert(e) {
+                        continue;
+                    }
+                    if live.remove(&e) {
+                        batch.deletions.push(e);
+                    } else {
+                        live.insert(e);
+                        batch
+                            .insertions
+                            .push((e.0, e.1, trace_weight(seed, e.0, e.1)));
+                    }
+                }
+                if !batch.is_empty() {
+                    batches.push(batch);
+                }
+            }
+            (g, batches, l, r, seed)
+        })
+}
+
+/// The graph of one epoch, whichever kind the engine runs.
+type EpochGraph = (Option<Arc<CsrGraph>>, Option<Arc<WeightedCsrGraph>>);
+
+fn epoch_graph(engine: &StreamEngine) -> EpochGraph {
+    (engine.graph_shared(), engine.weighted_graph_shared())
+}
+
+/// A from-scratch build of one shard's layer range on an epoch's graph.
+fn rebuild(g: &EpochGraph, l: u32, range: LayerRange, seed: u64) -> WalkIndex {
+    match g {
+        (Some(g), _) => WalkIndex::build_layer_range(g, l, range, seed, 0),
+        (None, Some(w)) => WalkIndex::build_weighted_layer_range(w, l, range, seed, 0),
+        (None, None) => unreachable!("an engine always runs one graph kind"),
+    }
+}
+
+/// Refresh under pins at shards {1, 2} × threads {1, 2, 8}: an engine
+/// whose every epoch stays pinned must match an engine nobody pins and a
+/// rebuild after each batch, and every pinned epoch must still equal the
+/// rebuild of its own epoch once the whole trace has run.
+fn check_refresh_under_pins(
+    g0: &CsrGraph,
+    batches: &[EdgeBatch],
+    l: u32,
+    r: usize,
+    seed: u64,
+    weighted: bool,
+) -> Result<(), TestCaseError> {
+    let w0 = weighted.then(|| weighted_twin(g0, seed).expect("twin"));
+    let base = StreamConfig {
+        l,
+        r,
+        k: (g0.n() / 10).max(1),
+        seed,
+        rule: GainRule::HittingTime,
+        threads: 1,
+    };
+    for shards in [1, 2] {
+        for threads in THREADS {
+            let cfg = StreamConfig { threads, ..base };
+            let start = || match &w0 {
+                Some(w) => StreamEngine::with_shards_weighted(w.clone(), cfg, shards).unwrap(),
+                None => StreamEngine::with_shards(g0.clone(), cfg, shards).unwrap(),
+            };
+            let (mut pinned, mut plain) = (start(), start());
+            let mut pins: Vec<(Vec<Arc<WalkIndex>>, EpochGraph)> = Vec::new();
+            for batch in batches {
+                pins.push((pinned.shard_indexes_shared(), epoch_graph(&pinned)));
+                pinned.apply(batch).expect("resolved batches are valid");
+                plain.apply(batch).expect("resolved batches are valid");
+                prop_assert!(
+                    pinned.shard_indexes() == plain.shard_indexes(),
+                    "shards {} threads {}: pinned refresh drifted from the unpinned one",
+                    shards,
+                    threads
+                );
+                let g = epoch_graph(&pinned);
+                for (idx, range) in pinned
+                    .shard_indexes()
+                    .into_iter()
+                    .zip(pinned.shard_ranges())
+                {
+                    prop_assert!(
+                        *idx == rebuild(&g, l, range, seed),
+                        "shards {} threads {}: live shard {:?} != rebuild",
+                        shards,
+                        threads,
+                        range
+                    );
+                }
+            }
+            for (epoch, (idxs, g)) in pins.iter().enumerate() {
+                for (idx, range) in idxs.iter().zip(pinned.shard_ranges()) {
+                    prop_assert!(
+                        **idx == rebuild(g, l, range, seed),
+                        "shards {} threads {}: pinned epoch {} shard {:?} changed",
+                        shards,
+                        threads,
+                        epoch,
+                        range
+                    );
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Refresh under pins, unweighted walks.
+    #[test]
+    fn pinned_refresh_matches_unpinned_and_rebuild_unweighted(
+        (g0, batches, l, r, seed) in churn_instance()
+    ) {
+        check_refresh_under_pins(&g0, &batches, l, r, seed, false)?;
+    }
+
+    /// Refresh under pins, weighted walks.
+    #[test]
+    fn pinned_refresh_matches_unpinned_and_rebuild_weighted(
+        (g0, batches, l, r, seed) in churn_instance()
+    ) {
+        check_refresh_under_pins(&g0, &batches, l, r, seed, true)?;
+    }
 }
