@@ -37,18 +37,18 @@
 //!   cross-epoch answer-stability telemetry (per-epoch seed-set Jaccard,
 //!   seeds swapped, objective drift) over the churn trace,
 //! * the open path: bringing a saved index back — zero-copy `mmap` open
-//!   of an RWDIDX4 snapshot vs deserializing the same file vs rebuilding
-//!   from the graph, plus the restart drill end to end (DurableEngine
-//!   open in both modes through the first answered point query), with the
-//!   heap/mapped byte split and the deserializer's transient peak as the
-//!   RSS story — the mapped-vs-deserialize ratio feeding the CI gate,
+//!   of an RWDIDX4 snapshot vs rebuilding from the graph, plus the restart
+//!   drill end to end (DurableEngine open through the first answered
+//!   point query), with the heap/mapped byte split as the RSS story — the
+//!   mapped-vs-rebuild ratio feeding the CI gate,
 //!
 //! and writes the measurements as JSON (default `BENCH_10.json`, the
 //! PR-10 snapshot; earlier `BENCH_<n>.json` files stay beside it so the
 //! trajectory is diffable).
 //!
-//! Schema `rwd-perf/9` (extends `rwd-perf/8` with the `open` block):
-//! every timing records the worker count it actually ran with, and
+//! Schema `rwd-perf/10` (`rwd-perf/9`'s `open` block without the
+//! retired deserializing reader's fields, restart timed through the one
+//! open path as `engine_open_ms` / `ttfa_ms`): every timing records the worker count it actually ran with, and
 //! `available_parallelism` is a top-level field — so a snapshot taken
 //! on a 1-core container is self-describing instead of silently reporting
 //! ~1.0 speedups. All latency percentiles come from `rwd-obs`'s
@@ -164,16 +164,6 @@ fn time_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
 
 fn fmt_ms(v: f64) -> String {
     format!("{v:.3}")
-}
-
-/// A number for the JSON snapshot: `null` when the measurement does not
-/// exist on this host (e.g. mapped opens off-unix).
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        fmt_ms(v)
-    } else {
-        String::from("null")
-    }
 }
 
 /// One named timing with the worker count it actually ran with.
@@ -786,14 +776,14 @@ fn main() {
     // sparse *weighted* graph at a long walk length. Rebuilding from
     // scratch re-samples every (src, layer) walk — L cumulative-weight
     // neighbor draws per walk, most of which revisit already-hit nodes and
-    // add no posting — while recovery deserializes exactly the surviving
+    // add no posting — while recovery maps exactly the surviving
     // postings. The snapshot cadence divides the trace, so the crash lands
     // on a compaction boundary (empty journal suffix) — the steady state a
     // cadence-driven deployment crashes in; suffix-replay *exactness* is
     // the recovery proptests' job, and per-epoch replay cost is the stream
     // section's `incremental_refresh` line. Both sides run the same
-    // single-thread engine config, so the ratio compares work done, not
-    // scheduler luck (snapshot load honours the engine's thread budget).
+    // single-thread engine config (the snapshot open's CRC sweep and
+    // section checks still use every core, as in production).
     let durability_spec = TemporalTraceSpec {
         model: TraceModel::ErdosRenyi { mean_degree: 4.0 },
         nodes: scale.n,
@@ -898,14 +888,13 @@ fn main() {
     );
     drop(recovered);
 
-    // --- open path: mmap open vs deserialize open vs rebuild -------------
-    // How fast a saved index comes back. Three ways to the same bits
-    // (asserted): `open_mapped` maps the RWDIDX4 file and validates the
-    // CRC once — no per-posting parse; `load` streams and deserializes
-    // every column to the heap; a rebuild re-samples every walk. The
-    // mapped-vs-deserialize ratio feeds the CI gate; the heap/mapped byte
-    // split plus the deserializer's transient peak is the RSS story the
-    // storage tests assert (peak ≤ 1.25x the final index).
+    // --- open path: mapped open vs rebuild -------------------------------
+    // How fast a saved index comes back. Two ways to the same bits
+    // (asserted): `open_mapped` maps the RWDIDX4 file, checks the CRC once
+    // and validates every section — no per-posting parse, no
+    // transposition; a rebuild re-samples every walk. The
+    // mapped-vs-rebuild ratio feeds the CI gate, and the heap/mapped byte
+    // split is the RSS story (a fresh mapped open owns no column bytes).
     let mapped_available = cfg!(unix) && cfg!(target_endian = "little");
     let open_dir = durability_root.join("open");
     std::fs::create_dir_all(&open_dir).expect("fresh open dir");
@@ -915,75 +904,46 @@ fn main() {
         .expect("snapshot exists")
         .len();
 
-    let (deser_open_ms, (loaded, load_stats)) = time_ms(reps, || {
-        WalkIndex::load_with_stats(&index_path, 0).expect("index snapshot loads")
+    let (mapped_open_ms, opened) = time_ms(reps, || {
+        WalkIndex::open_mapped(&index_path).expect("index snapshot opens")
     });
-    assert_eq!(loaded, idx, "deserialize open drifted from the saved index");
-    record("index_open_deserialize", deser_open_ms, cores);
-    let load_peak_ratio =
-        (idx.memory_bytes() + load_stats.transient_peak_bytes) as f64 / idx.memory_bytes() as f64;
-
-    let (mapped_open_ms, mapped_heap, mapped_bytes) = if mapped_available {
-        let (ms, mapped) = time_ms(reps, || {
-            WalkIndex::open_mapped(&index_path).expect("index snapshot maps")
-        });
-        assert_eq!(mapped, idx, "mapped open drifted from the saved index");
-        record("index_open_mapped", ms, 1);
-        (ms, mapped.heap_bytes(), mapped.mapped_bytes())
-    } else {
-        (f64::NAN, 0, 0)
-    };
-    let mapped_vs_deserialize = deser_open_ms / mapped_open_ms.max(1e-9);
+    assert_eq!(opened, idx, "mapped open drifted from the saved index");
+    record("index_open_mapped", mapped_open_ms, cores);
+    let (mapped_heap, mapped_bytes) = (opened.heap_bytes(), opened.mapped_bytes());
+    drop(opened);
     let mapped_vs_rebuild = uw_all / mapped_open_ms.max(1e-9);
 
-    // The restart drill end to end: DurableEngine::open in both modes on
-    // the durability section's data dir, through the first answered point
-    // query — time-to-first-answer after a process restart.
-    use rwd_stream::OpenMode;
-    let open_modes: &[(OpenMode, bool)] = &[
-        (OpenMode::Mapped, mapped_available),
-        (OpenMode::Deserialize, true),
-    ];
-    let mut engine_open_ms = [f64::NAN; 2];
-    let mut ttfa_ms = [f64::NAN; 2];
+    // The restart drill end to end: DurableEngine::open on the durability
+    // section's data dir, through the first answered point query —
+    // time-to-first-answer after a process restart.
+    let mut engine_open_ms = f64::NAN;
+    let mut ttfa_ms = f64::NAN;
     let mut first_bits: Option<(Vec<NodeId>, u64, u64)> = None;
-    for (slot, &(mode, available)) in open_modes.iter().enumerate() {
-        if !available {
-            continue;
-        }
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            let (eng, rep) =
-                DurableEngine::open_with(&recovery_dir, DurabilityConfig::default(), mode)
-                    .expect("recovers");
-            let opened = t0.elapsed().as_secs_f64() * 1e3;
-            let snap = Snapshot::capture(eng.engine());
-            let first = snap.hit_time(NodeId(0));
-            let ttfa = t0.elapsed().as_secs_f64() * 1e3;
-            assert!(first.is_finite() || first.is_infinite());
-            assert!(rep.torn_tail.is_none(), "clean dir misread as torn");
-            engine_open_ms[slot] = engine_open_ms[slot].min(opened);
-            ttfa_ms[slot] = ttfa_ms[slot].min(ttfa);
-            let bits = (
-                eng.engine().seeds().to_vec(),
-                eng.engine().objective().to_bits(),
-                first.to_bits(),
-            );
-            match &first_bits {
-                None => first_bits = Some(bits),
-                Some(base) => assert_eq!(&bits, base, "{mode:?} open drifted"),
-            }
+    for _ in 0..reps {
+        let t0 = Instant::now();
+        let (eng, rep) =
+            DurableEngine::open(&recovery_dir, DurabilityConfig::default()).expect("recovers");
+        let opened = t0.elapsed().as_secs_f64() * 1e3;
+        let snap = Snapshot::capture(eng.engine());
+        let first = snap.hit_time(NodeId(0));
+        let ttfa = t0.elapsed().as_secs_f64() * 1e3;
+        assert!(rep.torn_tail.is_none(), "clean dir misread as torn");
+        engine_open_ms = engine_open_ms.min(opened);
+        ttfa_ms = ttfa_ms.min(ttfa);
+        let bits = (
+            eng.engine().seeds().to_vec(),
+            eng.engine().objective().to_bits(),
+            first.to_bits(),
+        );
+        match &first_bits {
+            None => first_bits = Some(bits),
+            Some(base) => assert_eq!(&bits, base, "restart drifted between reps"),
         }
     }
     eprintln!(
-        "      open: {index_file_bytes} B index; mapped {} ms vs deserialize \
-         {deser_open_ms:.3} ms ({mapped_vs_deserialize:.1}x) vs rebuild {uw_all:.3} ms; \
-         {mapped_bytes} B mapped + {mapped_heap} B heap after mapped open; deserialize \
-         peak {load_peak_ratio:.3}x final; engine restart TTFA mapped {} ms vs \
-         deserialize {:.1} ms",
-        fmt_ms(mapped_open_ms),
-        fmt_ms(ttfa_ms[0]),
-        ttfa_ms[1],
+        "      open: {index_file_bytes} B index; mapped {mapped_open_ms:.3} ms vs rebuild \
+         {uw_all:.3} ms ({mapped_vs_rebuild:.1}x); {mapped_bytes} B mapped + {mapped_heap} B \
+         heap after open; engine restart TTFA {ttfa_ms:.1} ms",
     );
     std::fs::remove_dir_all(&durability_root).ok();
 
@@ -1043,7 +1003,7 @@ fn main() {
 
     let json = format!(
         r#"{{
-  "schema": "rwd-perf/9",
+  "schema": "rwd-perf/10",
   "pr": 10,
   "unix_secs": {unix_secs},
   "available_parallelism": {cores},
@@ -1130,18 +1090,12 @@ fn main() {
     "index_file_bytes": {index_file_bytes},
     "index_memory_bytes": {mem},
     "mapped_open_ms": {mapped_open_s},
-    "deserialize_open_ms": {deser_open_s},
     "rebuild_ms": {rebuild_open_s},
-    "mapped_vs_deserialize": {mapped_vs_deser_s},
     "mapped_vs_rebuild": {mapped_vs_rebuild_s},
     "mapped_bytes_after_open": {mapped_bytes},
     "heap_bytes_after_open": {mapped_heap},
-    "deserialize_transient_peak_bytes": {load_peak_bytes},
-    "deserialize_peak_vs_final": {load_peak_ratio_s},
-    "engine_open_mapped_ms": {engine_open_mapped_s},
-    "engine_open_deserialize_ms": {engine_open_deser_s},
-    "ttfa_mapped_ms": {ttfa_mapped_s},
-    "ttfa_deserialize_ms": {ttfa_deser_s}
+    "engine_open_ms": {engine_open_s},
+    "ttfa_ms": {ttfa_s}
   }},
   "metrics": {{
     "probe_queries": {obs_queries},
@@ -1215,17 +1169,11 @@ fn main() {
         recovery_ms_s = fmt_ms(recovery_ms),
         durability_rebuild_s = fmt_ms(durability_rebuild_ms),
         recovery_speedup_s = fmt_ms(recovery_speedup),
-        mapped_open_s = json_num(mapped_open_ms),
-        deser_open_s = fmt_ms(deser_open_ms),
+        mapped_open_s = fmt_ms(mapped_open_ms),
         rebuild_open_s = fmt_ms(uw_all),
-        mapped_vs_deser_s = json_num(mapped_vs_deserialize),
-        mapped_vs_rebuild_s = json_num(mapped_vs_rebuild),
-        load_peak_bytes = load_stats.transient_peak_bytes,
-        load_peak_ratio_s = fmt_ms(load_peak_ratio),
-        engine_open_mapped_s = json_num(engine_open_ms[0]),
-        engine_open_deser_s = json_num(engine_open_ms[1]),
-        ttfa_mapped_s = json_num(ttfa_ms[0]),
-        ttfa_deser_s = json_num(ttfa_ms[1]),
+        mapped_vs_rebuild_s = fmt_ms(mapped_vs_rebuild),
+        engine_open_s = fmt_ms(engine_open_ms),
+        ttfa_s = fmt_ms(ttfa_ms),
         plain_p99_s = fmt_ms(plain_p99_us),
         instr_p99_s = fmt_ms(instr_p99_us),
         instr_ratio_s = fmt_ms(instrumentation_ratio),

@@ -40,11 +40,11 @@ USAGE:
                [--batch-edits <E>] [--delete-frac <f>] [--k <k>] [--l <L>]
                [--r <R>] [--seed <s>] [--problem <f1|f2>] [--shards <S>]
                [--weighted] [--verify] [--data-dir <dir>] [--snapshot-every <N>]
-               [--metrics-every <N>] [--mmap]
+               [--metrics-every <N>]
   rwdom serve  --model <ba|er> --nodes <n> [stream flags] [--workers <W>]
                [--queries-per-batch <Q>] [--script <file>] [--shards <S>]
-               [--data-dir <dir>] [--snapshot-every <N>] [--mmap]
-  rwdom recover <data-dir> [--verify] [--mmap]
+               [--data-dir <dir>] [--snapshot-every <N>]
+  rwdom recover <data-dir> [--verify]
   rwdom index  info <path>
   rwdom demo
 
@@ -91,13 +91,16 @@ SERVE: starts the online query server over the evolving engine and drives
   histograms plus the process-wide engine metrics (printed after the
   request table).
 
-STORAGE: snapshots write the 8-byte-aligned RWDIDX4 format, whose posting
-  columns can be served zero-copy straight from an mmap'd file. `rwdom
-  recover --mmap` (and `serve`/`stream` with --data-dir and --mmap) opens
-  shard indexes mapped: a header walk plus one CRC pass, no per-posting
-  deserialize — bitwise identical answers either way. `rwdom index info
-  <path>` prints a file's format version, dimensions, layer range, posting
-  count, section alignment, and CRC status without constructing the index.
+STORAGE: snapshots write RWDIDX4, the one walk-index format: 8-byte-
+  aligned posting columns plus a CRC-32 trailer. `rwdom recover <dir>`
+  opens each shard index by a header walk, one CRC pass and a validation
+  pass over every section, then serves the columns zero-copy from the
+  mmap'd file (unix little-endian hosts; elsewhere they are read into
+  memory).
+  Indexes in the obsolete RWDIDX1/2/3 formats are refused by name —
+  rebuild them. `rwdom index info <path>` prints a file's dimensions,
+  layer range, posting count, section alignment, and CRC status without
+  constructing the index.
 
 OBSERVABILITY: rwdom stream --metrics-every <N> prints the process-wide
   metrics registry (per-phase batch timings, churn counters, durability
@@ -116,7 +119,9 @@ fn main() -> ExitCode {
     }
 }
 
-/// Splits `args` into positional arguments and `--flag value` pairs.
+/// Splits `args` into positional arguments and `--flag value` pairs. A
+/// value flag followed by another `--flag` (or by nothing) is an error,
+/// so a missing value never swallows the next flag.
 fn parse(args: &[String]) -> Result<(Vec<String>, HashMap<String, String>), String> {
     let mut positional = Vec::new();
     let mut flags = HashMap::new();
@@ -124,12 +129,13 @@ fn parse(args: &[String]) -> Result<(Vec<String>, HashMap<String, String>), Stri
     while let Some(a) = it.next() {
         if let Some(name) = a.strip_prefix("--") {
             // Boolean flags take no value; detect by peeking.
-            let is_bool = matches!(name, "eval" | "connected" | "weighted" | "verify" | "mmap");
+            let is_bool = matches!(name, "eval" | "connected" | "weighted" | "verify");
             if is_bool {
                 flags.insert(name.to_string(), "true".to_string());
             } else {
                 let v = it
                     .next()
+                    .filter(|v| !v.starts_with("--"))
                     .ok_or_else(|| format!("flag --{name} needs a value"))?;
                 flags.insert(name.to_string(), v.clone());
             }
@@ -780,39 +786,6 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
         .collect();
     println!("# final seeds: {}", ids.join(","));
 
-    if flags.contains_key("mmap") {
-        // Snapshot the final state, drop the live engine, and reopen the
-        // data dir zero-copy: the mapped engine must answer identically.
-        use rwd_stream::{DurableEngine, OpenMode};
-        let Some(dir) = &data_dir else {
-            return Err(
-                "--mmap needs --data-dir (it reopens the written snapshot zero-copy)".into(),
-            );
-        };
-        let StreamDriver::Durable(mut d) = engine else {
-            unreachable!("--data-dir always builds a durable driver");
-        };
-        let snap_epoch = d.snapshot_now().map_err(|e| e.to_string())?;
-        let live_seeds: Vec<NodeId> = d.engine().seeds().to_vec();
-        let live_objective = d.engine().objective();
-        drop(d);
-        let started = std::time::Instant::now();
-        let (reopened, report) =
-            DurableEngine::open_with(dir, dcfg, OpenMode::Mapped).map_err(|e| e.to_string())?;
-        let open_ms = started.elapsed().as_secs_f64() * 1e3;
-        if reopened.engine().seeds() != live_seeds
-            || reopened.engine().objective().to_bits() != live_objective.to_bits()
-        {
-            return Err("mmap reopen diverged from the live engine".into());
-        }
-        println!(
-            "# mmap reopen: snapshot epoch {snap_epoch} back in {} ms — {} bytes served \
-             from the mapped file, {} on heap; seeds and objective bit-identical",
-            fmt_f(open_ms, 2),
-            report.mapped_bytes,
-            report.heap_bytes,
-        );
-    }
     Ok(())
 }
 
@@ -820,31 +793,19 @@ fn cmd_stream(args: &[String]) -> Result<(), String> {
 /// `--verify` additionally rebuilds the whole pipeline from scratch on the
 /// recovered graph and asserts the recovered state is bit-identical.
 fn cmd_recover(args: &[String]) -> Result<(), String> {
-    use rwd_stream::{DurabilityConfig, DurableEngine, OpenMode, StreamEngine};
+    use rwd_stream::{DurabilityConfig, DurableEngine, StreamEngine};
 
     let (pos, flags) = parse(args)?;
     let dir = pos.first().ok_or("recover needs a data-dir path")?;
     let verify = flags.contains_key("verify");
-    let mode = if flags.contains_key("mmap") {
-        OpenMode::Mapped
-    } else {
-        OpenMode::Deserialize
-    };
 
-    let (durable, report) = DurableEngine::open_with(dir, DurabilityConfig::default(), mode)
-        .map_err(|e| e.to_string())?;
+    let (durable, report) =
+        DurableEngine::open(dir, DurabilityConfig::default()).map_err(|e| e.to_string())?;
     let engine = durable.engine();
     let recovery_ms = report.snapshot_load_ms + report.replay_ms;
 
     let mut t = Table::new(["property", "value"]);
     t.row(["data dir", dir]);
-    t.row([
-        "open mode",
-        match mode {
-            OpenMode::Mapped => "mmap (zero-copy shard indexes)",
-            OpenMode::Deserialize => "deserialize (heap-owned shard indexes)",
-        },
-    ]);
     t.row(["snapshot epoch", &report.snapshot_epoch.to_string()]);
     t.row(["epochs replayed", &report.epochs_replayed.to_string()]);
     t.row(["recovered epoch", &report.recovered_epoch.to_string()]);
@@ -930,7 +891,7 @@ fn cmd_index(args: &[String]) -> Result<(), String> {
     let info = rwd_walks::inspect_index_file(path).map_err(|e| e.to_string())?;
     let mut t = Table::new(["property", "value"]);
     t.row(["file", path]);
-    t.row(["format", &format!("RWDIDX{}", info.version)]);
+    t.row(["format", "RWDIDX4"]);
     t.row(["nodes (n)", &info.n.to_string()]);
     t.row(["walk length (L)", &info.l.to_string()]);
     t.row(["layers (R)", &info.layer_count.to_string()]);
@@ -951,11 +912,7 @@ fn cmd_index(args: &[String]) -> Result<(), String> {
     t.row(["postings", &info.total_postings.to_string()]);
     t.row([
         "section align",
-        &info
-            .section_align
-            .map_or("none (packed V2/V3 layout)".to_string(), |a| {
-                format!("{a} bytes (zero-copy openable)")
-            }),
+        &format!("{} bytes (zero-copy openable)", info.section_align),
     ]);
     t.row(["file bytes", &info.file_bytes.to_string()]);
     t.row([
@@ -1234,35 +1191,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         print!("{text}");
     }
 
-    if flags.contains_key("mmap") {
-        // Restart drill: reopen the data dir zero-copy and time the first
-        // served answer — the restarted server's state (snapshot + journal
-        // suffix) is bit-identical to the one that just shut down.
-        use rwd_stream::OpenMode;
-        let Some(dir) = &data_dir else {
-            return Err(
-                "--mmap needs --data-dir (it reopens the written snapshot zero-copy)".into(),
-            );
-        };
-        let started = std::time::Instant::now();
-        let (reopened, report) = ServeEngine::open_durable_with(dir, dcfg, OpenMode::Mapped)
-            .map_err(|e| e.to_string())?;
-        let open_ms = started.elapsed().as_secs_f64() * 1e3;
-        let snap = reopened.snapshot();
-        let q0 = std::time::Instant::now();
-        let h = snap.hit_time(NodeId(0));
-        let query_us = q0.elapsed().as_secs_f64() * 1e6;
-        println!(
-            "# mmap reopen: epoch {} back in {} ms ({} bytes mapped, {} journal epochs \
-             replayed); first point query answered in {} µs (hit_time(0) = {})",
-            report.recovered_epoch,
-            fmt_f(open_ms, 2),
-            report.mapped_bytes,
-            report.epochs_replayed,
-            fmt_f(query_us, 0),
-            fmt_f(h, 4),
-        );
-    }
     Ok(())
 }
 
@@ -1360,6 +1288,20 @@ mod tests {
     #[test]
     fn parse_rejects_dangling_flag() {
         assert!(parse(&argv(&["--k"])).is_err());
+    }
+
+    #[test]
+    fn parse_rejects_a_flag_as_another_flags_value() {
+        // `--data-dir --verify` must not create a directory named
+        // `--verify` and drop the boolean flag.
+        let err = parse(&argv(&["stream", "--data-dir", "--verify"])).unwrap_err();
+        assert_eq!(err, "flag --data-dir needs a value");
+        // A retired flag is no longer boolean, so it cannot swallow one.
+        let err = run(&argv(&["recover", "dir", "--mmap", "--verify"])).unwrap_err();
+        assert!(err.contains("flag --mmap needs a value"), "{err}");
+        // Negative numbers still pass as values.
+        let (_, flags) = parse(&argv(&["--delete-frac", "-0.5"])).unwrap();
+        assert_eq!(flags.get("delete-frac").unwrap(), "-0.5");
     }
 
     #[test]

@@ -5,8 +5,8 @@ use std::path::Path;
 use rwd_graph::weighted::WeightedCsrGraph;
 use rwd_graph::CsrGraph;
 use rwd_stream::{
-    BatchReport, DurabilityConfig, DurableEngine, EdgeBatch, OpenMode, RecoveryReport,
-    StreamConfig, StreamEngine,
+    BatchReport, DurabilityConfig, DurableEngine, EdgeBatch, RecoveryReport, StreamConfig,
+    StreamEngine,
 };
 
 use crate::snapshot::Snapshot;
@@ -134,26 +134,16 @@ impl ServeEngine {
     /// Recovers the engine from a durability data directory (latest valid
     /// snapshot + journal replay, torn tail truncated) and serves from the
     /// recovered state — bit-identical to the engine that wrote the
-    /// surviving prefix. Returns the recovery report alongside.
+    /// surviving prefix. Returns the recovery report alongside. Shard
+    /// indexes come back through `WalkIndex::open_mapped`, so on unix
+    /// little-endian hosts point queries read the `mmap`'d snapshot
+    /// columns in place; published snapshots pin the mapping alongside
+    /// the epoch, with the usual pinning semantics.
     pub fn open_durable(
         dir: impl AsRef<Path>,
         dcfg: DurabilityConfig,
     ) -> Result<(Self, RecoveryReport)> {
         let (durable, report) = DurableEngine::open(dir, dcfg)?;
-        Ok((Self::from_durable(durable), report))
-    }
-
-    /// [`ServeEngine::open_durable`] with an explicit shard-index
-    /// [`OpenMode`]: [`OpenMode::Mapped`] serves point queries straight
-    /// from `mmap`'d RWDIDX4 snapshot columns (published snapshots pin
-    /// the mapping alongside the epoch — unchanged pinning semantics),
-    /// [`OpenMode::Deserialize`] parses everything onto the heap first.
-    pub fn open_durable_with(
-        dir: impl AsRef<Path>,
-        dcfg: DurabilityConfig,
-        mode: OpenMode,
-    ) -> Result<(Self, RecoveryReport)> {
-        let (durable, report) = DurableEngine::open_with(dir, dcfg, mode)?;
         Ok((Self::from_durable(durable), report))
     }
 

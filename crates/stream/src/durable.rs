@@ -12,13 +12,14 @@
 //! * `snap-<E>/` — a full engine snapshot at epoch `E`: `graph.bin` (the
 //!   canonical edge list, whose from-scratch rebuild is proven bitwise
 //!   identical to the live CSR by the graph crate's own tests), one
-//!   RWDIDX2/3 file per shard (reusing [`WalkIndex::save`], CRC-trailed),
-//!   and `manifest.bin` written **last** — a snapshot without a valid
+//!   RWDIDX4 file per shard ([`WalkIndex::save_v4`], CRC-trailed), and
+//!   `manifest.bin` written **last** — a snapshot without a valid
 //!   manifest never existed. After a snapshot the journal rotates to the
 //!   new base and older artifacts are compacted away.
 //!
-//! [`DurableEngine::open`] recovers: newest loadable snapshot + journal
-//! suffix replayed through the normal apply path (incremental refresh and
+//! [`DurableEngine::open`] recovers: newest loadable snapshot (shard
+//! indexes opened by [`WalkIndex::open_mapped`], zero-copy where the host
+//! allows) + journal suffix replayed through the normal apply path (incremental refresh and
 //! warm seed maintenance included). Because every transformation in the
 //! pipeline is bit-deterministic, the recovered engine is **bitwise
 //! identical** to the live engine that wrote the surviving prefix — the
@@ -58,23 +59,6 @@ pub struct DurabilityConfig {
     pub snapshot_every: u64,
 }
 
-/// How [`DurableEngine::open`] brings shard indexes back from a snapshot.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum OpenMode {
-    /// Zero-copy: RWDIDX4 shard files are `mmap(2)`-mapped in place
-    /// ([`WalkIndex::open_mapped`]) — the first point query is answerable
-    /// after a header walk and one CRC pass, no per-posting deserialize.
-    /// Older (V2/V3) shard files, and hosts without the mapped path, fall
-    /// back to [`OpenMode::Deserialize`] per shard. Journal replay then
-    /// promotes exactly the layers it touches to the heap; recovered
-    /// state stays bitwise equal to the deserializing open.
-    #[default]
-    Mapped,
-    /// Parse every shard index into heap-owned columns
-    /// ([`WalkIndex::load`]); higher open cost, no pinned file mappings.
-    Deserialize,
-}
-
 /// What [`DurableEngine::open`] did to get back to the live state.
 #[derive(Clone, Debug)]
 pub struct RecoveryReport {
@@ -95,8 +79,9 @@ pub struct RecoveryReport {
     /// Heap-owned walk-index column bytes after recovery (replay included).
     pub heap_bytes: usize,
     /// Still-mapped (zero-copy) walk-index column bytes after recovery —
-    /// nonzero only for [`OpenMode::Mapped`] opens of RWDIDX4 snapshots,
-    /// and shrunk by whatever layers the journal replay promoted.
+    /// the snapshot's shard columns [`WalkIndex::open_mapped`] served in
+    /// place, less whatever layers the journal replay promoted to the
+    /// heap; 0 on hosts where the opener reads owned copies instead.
     pub mapped_bytes: usize,
 }
 
@@ -151,23 +136,14 @@ impl DurableEngine {
     }
 
     /// Recovers the engine from `dir`: loads the newest loadable snapshot
-    /// (zero-copy by default — see [`OpenMode::Mapped`]), replays the
-    /// journal suffix through the normal apply path, truncates a torn tail
-    /// (reported, never fatal), and resumes journaling where the surviving
-    /// history ends. Mid-journal corruption and unloadable snapshots fail
-    /// with named errors instead of serving drifted state.
+    /// (shard indexes through [`WalkIndex::open_mapped`]: a header walk,
+    /// one CRC sweep across all cores and a validation pass, with columns
+    /// served zero-copy where the host allows), replays the journal suffix
+    /// through the normal apply path, truncates a torn tail (reported,
+    /// never fatal), and resumes journaling where the surviving history
+    /// ends. Mid-journal corruption and unloadable snapshots fail with
+    /// named errors instead of serving drifted state.
     pub fn open(dir: impl AsRef<Path>, dcfg: DurabilityConfig) -> Result<(Self, RecoveryReport)> {
-        Self::open_with(dir, dcfg, OpenMode::default())
-    }
-
-    /// [`DurableEngine::open`] with an explicit shard-index
-    /// [`OpenMode`]. Both modes recover the exact same state — the mode
-    /// only chooses where the posting columns live (mapped file vs heap).
-    pub fn open_with(
-        dir: impl AsRef<Path>,
-        dcfg: DurabilityConfig,
-        mode: OpenMode,
-    ) -> Result<(Self, RecoveryReport)> {
         let dir = dir.as_ref().to_path_buf();
         let snaps = find_numbered(&dir, "snap-")?;
         if snaps.is_empty() {
@@ -180,7 +156,7 @@ impl DurableEngine {
         let mut last_err = None;
         let mut loaded = None;
         for (epoch, path) in snaps.iter().rev() {
-            match load_snapshot(path, mode) {
+            match load_snapshot(path) {
                 Ok(engine) => {
                     loaded = Some((*epoch, engine));
                     break;
@@ -453,17 +429,10 @@ pub(crate) fn save_snapshot(engine: &StreamEngine, snap_dir: &Path) -> Result<()
     }
     write_with_crc(&snap_dir.join("graph.bin"), graph_bytes)?;
 
-    // Per-shard walk indexes, via the zero-copy-openable RWDIDX4 writer
-    // (a big-endian host falls back to the portable RWDIDX2/3 writer —
-    // both load, only V4 maps).
+    // Per-shard walk indexes, in the one (zero-copy-openable) format.
     for (i, idx) in engine.shard_indexes().iter().enumerate() {
         let path = snap_dir.join(format!("shard-{i}.rwdidx"));
-        let saved = if cfg!(target_endian = "little") {
-            idx.save_v4(&path)
-        } else {
-            idx.save(&path)
-        };
-        dio("shard index save", saved)?;
+        dio("shard index save", idx.save_v4(&path))?;
         dio(
             "shard index sync",
             File::open(&path).and_then(|f| f.sync_all()),
@@ -519,15 +488,6 @@ fn write_with_crc(path: &Path, mut bytes: Vec<u8>) -> Result<()> {
     )
 }
 
-/// The first 8 bytes of `path`, if readable — the on-disk format magic.
-fn file_magic(path: &Path) -> Option<[u8; 8]> {
-    use std::io::Read;
-    let mut f = std::fs::File::open(path).ok()?;
-    let mut magic = [0u8; 8];
-    f.read_exact(&mut magic).ok()?;
-    Some(magic)
-}
-
 /// Reads a CRC-trailed snapshot file, verifying magic and checksum.
 fn read_with_crc(path: &Path, magic: &[u8; 8], what: &str) -> Result<Vec<u8>> {
     let bytes = match std::fs::read(path) {
@@ -558,7 +518,7 @@ fn read_with_crc(path: &Path, magic: &[u8; 8], what: &str) -> Result<Vec<u8>> {
 /// Loads one snapshot directory back into a [`StreamEngine`] at the
 /// snapshot's epoch. Every cross-field inconsistency is a named
 /// [`StreamError::CorruptSnapshot`].
-pub(crate) fn load_snapshot(snap_dir: &Path, mode: OpenMode) -> Result<StreamEngine> {
+pub(crate) fn load_snapshot(snap_dir: &Path) -> Result<StreamEngine> {
     let corrupt = |msg: String| StreamError::CorruptSnapshot(msg);
     let m = read_with_crc(&snap_dir.join("manifest.bin"), MANIFEST_MAGIC, "manifest")?;
     let fixed = 8 * 6 + 1 + 8 + 1 + 8 + 8;
@@ -715,21 +675,10 @@ pub(crate) fn load_snapshot(snap_dir: &Path, mode: OpenMode) -> Result<StreamEng
     };
 
     // Per-shard indexes, cross-checked against the manifest's tiling.
-    // Mapped mode zero-copies RWDIDX4 shard files; anything else (older
-    // formats, hosts without the mapped path) deserializes.
     let mut shards = Vec::with_capacity(shard_count);
     for (i, &rg) in ranges.iter().enumerate() {
         let path = snap_dir.join(format!("shard-{i}.rwdidx"));
-        let use_map = mode == OpenMode::Mapped
-            && cfg!(unix)
-            && cfg!(target_endian = "little")
-            && file_magic(&path).is_some_and(|m| &m == b"RWDIDX4\0");
-        let idx = if use_map {
-            WalkIndex::open_mapped(&path)
-        } else {
-            WalkIndex::load_with_threads(&path, cfg.threads)
-        }
-        .map_err(|e| {
+        let idx = WalkIndex::open_mapped(&path).map_err(|e| {
             corrupt(format!(
                 "shard index {} failed to load: {e}",
                 path.display()
@@ -957,25 +906,16 @@ mod tests {
         let live = durable.engine().clone();
         drop(durable);
 
-        let (mapped, mrep) =
-            DurableEngine::open_with(&dir, DurabilityConfig::default(), OpenMode::Mapped).unwrap();
-        let (owned, orep) =
-            DurableEngine::open_with(&dir, DurabilityConfig::default(), OpenMode::Deserialize)
-                .unwrap();
+        let (mapped, mrep) = DurableEngine::open(&dir, DurabilityConfig::default()).unwrap();
         assert_eq!(mrep.epochs_replayed, 0);
         assert_engines_equal(mapped.engine(), &live);
-        assert_engines_equal(owned.engine(), &live);
-        // Deserialize mode owns everything; mapped mode (with nothing to
-        // replay) serves every posting column straight from the file, and
-        // the two accountings cover the same bytes.
-        assert_eq!(orep.mapped_bytes, 0);
+        // With nothing to replay, every posting column is served straight
+        // from the snapshot files, and the accounting covers exactly the
+        // bytes the live engine owns.
+        let live_bytes: usize = live.shard_indexes().iter().map(|i| i.heap_bytes()).sum();
+        assert_eq!(mrep.heap_bytes + mrep.mapped_bytes, live_bytes);
         if cfg!(all(unix, target_endian = "little")) {
-            assert!(mrep.mapped_bytes > 0, "V4 snapshot did not map");
-            assert_eq!(
-                mrep.heap_bytes + mrep.mapped_bytes,
-                orep.heap_bytes,
-                "mapped and owned opens account different column totals"
-            );
+            assert_eq!(mrep.heap_bytes, 0, "V4 snapshot did not map");
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -62,7 +62,7 @@ pub(crate) mod obs;
 pub mod shard;
 
 pub use batch::{EdgeBatch, GraphDelta, WeightedGraphDelta};
-pub use durable::{DurabilityConfig, DurableEngine, OpenMode, RecoveryReport};
+pub use durable::{DurabilityConfig, DurableEngine, RecoveryReport};
 pub use engine::{BatchReport, StreamConfig, StreamEngine};
 pub use index::IncrementalIndex;
 pub use journal::BatchJournal;

@@ -26,9 +26,10 @@
 //! lowers `D[i][src]`, the only candidates whose Algorithm-4 gain changed
 //! are precisely `forward(i, src)`. It is derived canonically from the
 //! inverted columns (per owner-ascending transposition) in every
-//! construction path — build, explicit walks, and `load` — so the on-disk
-//! RWDIDX2 format is unchanged and a reloaded index carries an identical
-//! forward view.
+//! construction path — build, explicit walks and refresh — and the
+//! RWDIDX4 file stores it beside the inverted lists, so a reopened index
+//! ([`WalkIndex::open_mapped`], the one reader of [`WalkIndex::save_v4`]
+//! files) serves an identical forward view without transposing.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -39,7 +40,7 @@ use crate::delta::{LayerDelta, PostingDelta};
 use crate::nodeset::NodeSet;
 use crate::parallel::resolve_threads;
 use crate::rng::WalkRng;
-use crate::storage::{Column, MmapRegion};
+use crate::storage::{pod_bytes, pod_bytes_mut, Column, MmapRegion, Pod};
 use crate::walker;
 
 /// One inverted-list entry: the walk from `id` first reaches the list's
@@ -175,8 +176,8 @@ type Triple = (u32, u32, u16);
 /// source), so within one forward list the visited nodes appear in
 /// **ascending hop order** (ties by ascending id) — walk-visit order, which
 /// lets incremental-gain repairs stop at the first hop that can no longer
-/// matter. The order is canonical: every construction path, including
-/// `load`, produces it.
+/// matter. The order is canonical: every construction path produces it,
+/// and the index file preserves it.
 /// Each column is a [`Column`] — heap-owned after a build or refresh,
 /// zero-copy mapped after [`WalkIndex::open_mapped`]. Equality compares
 /// values, so a mapped layer equals the owned layer it was saved from.
@@ -310,8 +311,7 @@ impl Layer {
     /// by source, so each forward list comes out in ascending `(hop, id)`
     /// order — walk-visit order. Because the transposition only reads the
     /// inverted columns, every construction path (parallel build, explicit
-    /// walks, `load`) yields a bit-identical forward view for identical
-    /// postings.
+    /// walks) yields a bit-identical forward view for identical postings.
     fn from_inverted(n: usize, offsets: Vec<u32>, ids: Vec<u32>, weights: Vec<u16>) -> Layer {
         let total = ids.len();
         assert!(
@@ -1753,620 +1753,127 @@ impl WalkIndex {
         acc
     }
 
-    /// Persists the index to disk (the paper's "sample materialization"
-    /// made durable): magic + header + per-layer SoA blocks, little-endian,
-    /// each layer assembled in one buffer and written with a single call.
-    /// A paper-scale index builds in seconds but is reused across many
-    /// `k`/`λ` sweeps — saving it makes experiment suites restartable.
-    ///
-    /// A monolithic index (`layer_base == 0`) writes the unchanged RWDIDX2
-    /// format; a layer-range shard writes RWDIDX3, which extends the header
-    /// with the shard's absolute layer base so a reload refreshes with the
-    /// right RNG streams. Both layouts end in a 4-byte little-endian CRC-32
-    /// trailer over every preceding byte (magic and header included), so
-    /// bit rot anywhere in the file is detected at load.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
+    /// Persists the index in RWDIDX4, the one on-disk format (the paper's
+    /// "sample materialization" made durable). It stores *both* CSR views
+    /// **and** the per-node aggregate tables, so [`WalkIndex::open_mapped`]
+    /// computes nothing: columns are served in place. Layout: magic, a
+    /// fixed header (`n`, `L`, layer count, seed, layer base, declared
+    /// section alignment), a per-layer entry-count table, then per layer
+    /// the six column sections (each zero-padded to the declared
+    /// alignment), the two aggregate sections, and a CRC-32 trailer over
+    /// every preceding byte. Every host writes the same little-endian
+    /// bytes; a layer-range shard records its absolute layer base, so a
+    /// reopened shard refreshes with the right RNG streams.
+    pub fn save_v4(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
         use std::io::Write;
         let file = std::fs::File::create(path)?;
         let mut w = std::io::BufWriter::new(file);
         let mut crc = crate::crc::Crc32::new();
-        let mut header = Vec::with_capacity(48);
-        if self.layer_base == 0 {
-            header.extend_from_slice(MAGIC_V2);
-        } else {
-            header.extend_from_slice(MAGIC_V3);
+        let mut header = Vec::with_capacity(V4_FIXED_HEADER + self.layers.len() * 8);
+        header.extend_from_slice(MAGIC_V4);
+        for v in [
+            self.n as u64,
+            self.l as u64,
+            self.layers.len() as u64,
+            self.seed,
+            self.layer_base as u64,
+            V4_ALIGN,
+        ] {
+            header.extend_from_slice(&v.to_le_bytes());
         }
-        header.extend_from_slice(&(self.n as u64).to_le_bytes());
-        header.extend_from_slice(&(self.l as u64).to_le_bytes());
-        header.extend_from_slice(&(self.layers.len() as u64).to_le_bytes());
-        header.extend_from_slice(&self.seed.to_le_bytes());
-        if self.layer_base != 0 {
-            header.extend_from_slice(&(self.layer_base as u64).to_le_bytes());
+        for layer in &self.layers {
+            header.extend_from_slice(&(layer.ids.len() as u64).to_le_bytes());
         }
         crc.update(&header);
         w.write_all(&header)?;
-        let mut buf: Vec<u8> = Vec::new();
         for layer in &self.layers {
-            buf.clear();
-            buf.reserve(8 + layer.offsets.len() * 4 + layer.ids.len() * 6);
-            buf.extend_from_slice(&(layer.ids.len() as u64).to_le_bytes());
-            for &off in layer.offsets.iter() {
-                buf.extend_from_slice(&off.to_le_bytes());
-            }
-            for &id in layer.ids.iter() {
-                buf.extend_from_slice(&id.to_le_bytes());
-            }
-            for &hw in layer.weights.iter() {
-                buf.extend_from_slice(&hw.to_le_bytes());
-            }
-            crc.update(&buf);
-            w.write_all(&buf)?;
+            write_v4_section(&mut w, &mut crc, &layer.offsets)?;
+            write_v4_section(&mut w, &mut crc, &layer.ids)?;
+            write_v4_section(&mut w, &mut crc, &layer.weights)?;
+            write_v4_section(&mut w, &mut crc, &layer.fwd_offsets)?;
+            write_v4_section(&mut w, &mut crc, &layer.fwd_ids)?;
+            write_v4_section(&mut w, &mut crc, &layer.fwd_weights)?;
         }
+        write_v4_section(&mut w, &mut crc, &self.posting_counts)?;
+        write_v4_section(&mut w, &mut crc, &self.posting_hop_sums)?;
         w.write_all(&crc.finish().to_le_bytes())?;
         w.flush()
     }
 
-    /// Loads an index previously written by [`WalkIndex::save`] or
-    /// [`WalkIndex::save_v4`], deserializing every column to the heap.
+    /// Opens an RWDIDX4 file written by [`WalkIndex::save_v4`] — the one
+    /// index reader. The header, entry table and section tiling are
+    /// validated against the file length, the CRC trailer is checked
+    /// once, and every section is validated: CSR offsets in both views,
+    /// posting ids `< n` and hops in `1..=L` in both views. Any damaged
+    /// file yields a named error, never a panic or an allocation larger
+    /// than the file.
     ///
-    /// Accepts the monolithic RWDIDX2 layout, the RWDIDX3 layer-range
-    /// extension and the aligned RWDIDX4 zero-copy layout (parsed, not
-    /// mapped — see [`WalkIndex::open_mapped`] for the zero-copy open);
-    /// rejects the obsolete `RWDIDX1` (AoS) layout with a dedicated
-    /// error — rebuild and re-save such indexes with this version.
-    pub fn load(path: impl AsRef<std::path::Path>) -> std::io::Result<WalkIndex> {
-        Self::load_impl(path.as_ref(), None, 0).map(|(idx, _)| idx)
-    }
-
-    /// [`WalkIndex::load`] with an explicit worker budget for the parallel
-    /// layer parse and aggregate sweep: `0` means "all cores", anything
-    /// else is taken literally. The loaded index is bit-identical either
-    /// way — callers that pin an engine to a thread budget (benchmarks,
-    /// per-engine quotas) use this so recovery honours the same budget.
-    pub fn load_with_threads(
-        path: impl AsRef<std::path::Path>,
-        threads: usize,
-    ) -> std::io::Result<WalkIndex> {
-        Self::load_impl(path.as_ref(), None, threads).map(|(idx, _)| idx)
-    }
-
-    /// [`WalkIndex::load_with_threads`] that additionally reports the
-    /// load's transient-memory accounting (see [`LoadStats`]) — the
-    /// evidence behind the bounded-peak claim: a deserializing open never
-    /// holds the whole file *and* the parsed index at once.
-    pub fn load_with_stats(
-        path: impl AsRef<std::path::Path>,
-        threads: usize,
-    ) -> std::io::Result<(WalkIndex, LoadStats)> {
-        Self::load_impl(path.as_ref(), None, threads)
-    }
-
-    /// Loads only the layers of `range` from a **monolithic** (RWDIDX2 or
-    /// monolithic RWDIDX4) index file, producing the shard-local partial
-    /// index `build_layer_range` would build: layers outside the range are
-    /// skipped without parsing, and the result's
-    /// [`WalkIndex::layer_base`] is `range.start()`. Rejects files whose
-    /// layer count the range exceeds, and already-sharded (RWDIDX3, or V4
-    /// with a nonzero layer base) files — re-scoping a shard of a shard
-    /// would silently mis-key the RNG streams.
-    pub fn load_layer_range(
-        path: impl AsRef<std::path::Path>,
-        range: LayerRange,
-    ) -> std::io::Result<WalkIndex> {
-        Self::load_impl(path.as_ref(), Some(range), 0).map(|(idx, _)| idx)
-    }
-
-    fn load_impl(
-        path: &std::path::Path,
-        want: Option<LayerRange>,
-        threads: usize,
-    ) -> std::io::Result<(WalkIndex, LoadStats)> {
-        let file = std::fs::File::open(path)?;
-        let file_len = file.metadata()?.len();
-        if file_len < 8 {
-            return Err(bad_file("not a walk-index file (bad magic)"));
-        }
-        let mut magic = [0u8; 8];
-        pread(&file, &mut magic, 0)?;
-        if &magic == MAGIC_V1 {
-            return Err(bad_file(
-                "walk-index file uses the obsolete RWDIDX1 (AoS) layout; \
-                 rebuild the index and re-save it in the RWDIDX2 format",
-            ));
-        }
-        if &magic == MAGIC_V4 {
-            return Self::load_v4(&file, file_len, want, threads);
-        }
-        if &magic != MAGIC_V2 && &magic != MAGIC_V3 {
-            return Err(bad_file("not a walk-index file (bad magic)"));
-        }
-        Self::load_v23(&file, file_len, &magic == MAGIC_V3, want, threads)
-    }
-
-    /// Deserializing loader for the RWDIDX2/RWDIDX3 layouts.
-    ///
-    /// The file is never pulled into memory whole: the boundary walk reads
-    /// only the 8-byte length prefixes, the CRC pass streams fixed-size
-    /// chunks, and the parallel parse positioned-reads one layer block at
-    /// a time into a per-worker reused buffer. The transient high-water
-    /// mark is therefore bounded by the largest layer block (plus its
-    /// transposition staging), not by the file — see [`LoadStats`]. Every
-    /// count in the file is still untrusted: header/block sizes are
-    /// checked against the actual file length *before* any payload read,
-    /// so a corrupt or crafted file yields `InvalidData`, never a panic or
-    /// an absurd allocation.
-    fn load_v23(
-        file: &std::fs::File,
-        file_len: u64,
-        v3: bool,
-        want: Option<LayerRange>,
-        threads: usize,
-    ) -> std::io::Result<(WalkIndex, LoadStats)> {
-        // The last 4 bytes are the CRC-32 trailer; everything before it is
-        // checksummed content (skipped layers included).
-        let content_len = file_len.saturating_sub(4);
-        let header_len: usize = if v3 { 40 } else { 32 };
-        if file_len < 8 + header_len as u64 {
-            return Err(truncated());
-        }
-        let mut header = [0u8; 40];
-        pread(file, &mut header[..header_len], 8)?;
-        let u64_at = |i: usize| u64::from_le_bytes(header[i * 8..(i + 1) * 8].try_into().unwrap());
-        let n64 = u64_at(0);
-        let l64 = u64_at(1);
-        let layer_count64 = u64_at(2);
-        let seed = u64_at(3);
-        let file_base64 = if v3 { u64_at(4) } else { 0 };
-        check_header_fields(n64, l64, layer_count64, file_base64)?;
-        if let Some(range) = want {
-            if file_base64 != 0 {
-                return Err(bad_file(
-                    "load_layer_range requires a monolithic (RWDIDX2) index file, \
-                     not an already-sharded RWDIDX3 one",
-                ));
-            }
-            if range.end() as u64 > layer_count64 {
-                return Err(bad_file(
-                    "requested layer range exceeds the file's layer count",
-                ));
-            }
-        }
-        let l = l64 as u32;
-        // A layer block stores (n + 1) 4-byte offsets, so n and layer_count
-        // are bounded by the checksummed content length.
-        if n64.saturating_mul(4) > content_len || layer_count64.saturating_mul(8) > content_len {
-            return Err(bad_file(
-                "corrupt walk-index file (header exceeds file size)",
-            ));
-        }
-        let n = n64 as usize;
-        let layer_count = layer_count64 as usize;
-        // Pass 1 — boundary walk: the length prefixes tile the content
-        // region into layer blocks, so every block size is validated (and
-        // the tiling shown to account for every content byte) before any
-        // payload is read. Only the 8-byte prefixes are touched here.
-        let mut consumed: u64 = 8 + header_len as u64;
-        let mut blocks: Vec<(usize, u64, usize)> =
-            Vec::with_capacity(want.map_or(layer_count, |rg| rg.len()));
-        for li in 0..layer_count {
-            if file_len < consumed + 8 {
-                return Err(truncated());
-            }
-            let mut prefix = [0u8; 8];
-            pread(file, &mut prefix, consumed)?;
-            consumed += 8;
-            let entries64 = u64::from_le_bytes(prefix);
-            let block64 = ((n64 + 1) * 4).saturating_add(entries64.saturating_mul(6));
-            if block64 > content_len {
-                return Err(bad_file(
-                    "corrupt walk-index file (layer exceeds file size)",
-                ));
-            }
-            if file_len < consumed + block64 {
-                return Err(truncated());
-            }
-            if want.is_none_or(|rg| rg.contains(li)) {
-                blocks.push((entries64 as usize, consumed, block64 as usize));
-            }
-            consumed += block64;
-        }
-        // Whole-file integrity: the layer tiling must account for every
-        // content byte, and the CRC-32 trailer must match it (skipped
-        // layers included). Bit rot anywhere — even in fields no
-        // structural check constrains, like the RNG seed — surfaces here
-        // instead of being served.
-        if consumed != content_len {
-            return Err(bad_file(
-                "corrupt walk-index file (size mismatch before checksum trailer)",
-            ));
-        }
-        let crc_buf = verify_trailer(file, content_len)?;
-        // Pass 2 — parse. Blocks are independent, so they are re-read and
-        // decoded (and their forward views transposed) in parallel when the
-        // posting volume warrants the threads; results land in per-layer
-        // slots, so layer order and first-failing-layer error are
-        // scheduling-free.
-        let read_parse = |buf: &mut Vec<u8>, entries: usize, off: u64, len: usize| {
-            buf.clear();
-            buf.resize(len, 0);
-            pread(file, buf, off)?;
-            parse_layer_block(n, l, entries, buf)
-        };
-        let total_postings: usize = blocks.iter().map(|&(e, _, _)| e).sum();
-        let workers = if n + total_postings < crate::parallel::MIN_PARALLEL_SWEEP_WORK {
-            1
-        } else {
-            resolve_threads(threads).min(blocks.len().max(1))
-        };
-        // Off unix, positioned reads fall back to a shared-cursor seek.
-        let workers = if cfg!(unix) { workers } else { 1 };
-        // One worker's pass over its block chunk: a reused read buffer, and
-        // the chunk's transient high-water mark (block bytes + the 12 B per
-        // posting the forward transposition stages).
-        let run_chunk = |b_chunk: &[(usize, u64, usize)],
-                         s_chunk: &mut [Option<std::io::Result<Layer>>]|
-         -> usize {
-            let mut buf: Vec<u8> = Vec::new();
-            let mut peak = 0usize;
-            for (slot, &(entries, off, len)) in s_chunk.iter_mut().zip(b_chunk) {
-                peak = peak.max(len + 12 * entries);
-                *slot = Some(read_parse(&mut buf, entries, off, len));
-            }
-            peak
-        };
-        let mut slots: Vec<Option<std::io::Result<Layer>>> = Vec::new();
-        slots.resize_with(blocks.len(), || None);
-        let parse_peak = if workers <= 1 {
-            run_chunk(&blocks, &mut slots)
-        } else {
-            let chunk = blocks.len().div_ceil(workers);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = blocks
-                    .chunks(chunk)
-                    .zip(slots.chunks_mut(chunk))
-                    .map(|(b_chunk, s_chunk)| {
-                        let run_chunk = &run_chunk;
-                        scope.spawn(move || run_chunk(b_chunk, s_chunk))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("load worker panicked"))
-                    .sum()
-            })
-        };
-        let mut layers = Vec::with_capacity(blocks.len());
-        for slot in slots {
-            layers.push(slot.expect("every layer block has a parse slot")?);
-        }
-        let layer_base = want.map_or(file_base64 as usize, |rg| rg.start());
-        let stats = LoadStats {
-            transient_peak_bytes: crc_buf.max(parse_peak),
-        };
-        Ok((
-            WalkIndex::assemble(n, l, layers, layer_base, seed, threads),
-            stats,
-        ))
-    }
-
-    /// Deserializing loader for the RWDIDX4 layout: reads only the
-    /// inverted sections (the stored forward views and aggregates are
-    /// skipped — both are re-derived canonically, so the result is bitwise
-    /// equal to [`WalkIndex::open_mapped`] on the same file). Same bounded
-    /// transient memory as [`WalkIndex::load_v23`].
-    fn load_v4(
-        file: &std::fs::File,
-        file_len: u64,
-        want: Option<LayerRange>,
-        threads: usize,
-    ) -> std::io::Result<(WalkIndex, LoadStats)> {
-        if file_len < V4_FIXED_HEADER as u64 {
-            return Err(truncated());
-        }
-        let mut header = [0u8; V4_FIXED_HEADER];
-        pread(file, &mut header, 0)?;
-        let layer_count64 = u64::from_le_bytes(header[24..32].try_into().unwrap());
-        // Bound the entry-table allocation by the actual file size before
-        // trusting the header's layer count.
-        if layer_count64.saturating_mul(8) > file_len {
-            return Err(bad_file(
-                "corrupt walk-index file (header exceeds file size)",
-            ));
-        }
-        let mut table = vec![0u8; layer_count64 as usize * 8];
-        if file_len < V4_FIXED_HEADER as u64 + table.len() as u64 {
-            return Err(truncated());
-        }
-        pread(file, &mut table, V4_FIXED_HEADER as u64)?;
-        let entries: Vec<u64> = table
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        let layout = v4_layout(&header, &entries, file_len)?;
-        check_v4_range(&layout, want)?;
-        let crc_buf = verify_trailer(file, layout.content_len)?;
-        let n = layout.n;
-        let l = layout.l;
-        let specs: Vec<&V4LayerSpec> = match want {
-            Some(rg) => layout.layers[rg.start()..rg.end()].iter().collect(),
-            None => layout.layers.iter().collect(),
-        };
-        // Re-read each selected layer's inverted sections into one
-        // contiguous [offsets | ids | weights] buffer — the same block
-        // shape V2/V3 store — and reuse their parser.
-        let read_parse = |buf: &mut Vec<u8>, spec: &V4LayerSpec| -> std::io::Result<Layer> {
-            let ob = (n + 1) * 4;
-            let ib = spec.entries * 4;
-            let wb = spec.entries * 2;
-            buf.clear();
-            buf.resize(ob + ib + wb, 0);
-            pread(file, &mut buf[..ob], spec.offsets as u64)?;
-            pread(file, &mut buf[ob..ob + ib], spec.ids as u64)?;
-            pread(file, &mut buf[ob + ib..], spec.weights as u64)?;
-            parse_layer_block(n, l, spec.entries, buf)
-        };
-        let total_postings: usize = specs.iter().map(|s| s.entries).sum();
-        let workers = if n + total_postings < crate::parallel::MIN_PARALLEL_SWEEP_WORK {
-            1
-        } else {
-            resolve_threads(threads).min(specs.len().max(1))
-        };
-        let workers = if cfg!(unix) { workers } else { 1 };
-        let run_chunk =
-            |b_chunk: &[&V4LayerSpec], s_chunk: &mut [Option<std::io::Result<Layer>>]| -> usize {
-                let mut buf: Vec<u8> = Vec::new();
-                let mut peak = 0usize;
-                for (slot, spec) in s_chunk.iter_mut().zip(b_chunk) {
-                    peak = peak.max((n + 1) * 4 + 18 * spec.entries);
-                    *slot = Some(read_parse(&mut buf, spec));
-                }
-                peak
-            };
-        let mut slots: Vec<Option<std::io::Result<Layer>>> = Vec::new();
-        slots.resize_with(specs.len(), || None);
-        let parse_peak = if workers <= 1 {
-            run_chunk(&specs, &mut slots)
-        } else {
-            let chunk = specs.len().div_ceil(workers);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = specs
-                    .chunks(chunk)
-                    .zip(slots.chunks_mut(chunk))
-                    .map(|(b_chunk, s_chunk)| {
-                        let run_chunk = &run_chunk;
-                        scope.spawn(move || run_chunk(b_chunk, s_chunk))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("load worker panicked"))
-                    .sum()
-            })
-        };
-        let mut layers = Vec::with_capacity(specs.len());
-        for slot in slots {
-            layers.push(slot.expect("every layer has a parse slot")?);
-        }
-        let layer_base = want.map_or(layout.layer_base, |rg| rg.start());
-        let stats = LoadStats {
-            transient_peak_bytes: crc_buf.max(parse_peak),
-        };
-        Ok((
-            WalkIndex::assemble(n, l, layers, layer_base, layout.seed, threads),
-            stats,
-        ))
-    }
-
-    /// Persists the index in the 8-byte-aligned RWDIDX4 layout — the
-    /// zero-copy format [`WalkIndex::open_mapped`] serves straight from
-    /// the page cache. Unlike V2/V3 it stores *both* CSR views **and** the
-    /// per-node aggregate tables, so a mapped open computes nothing:
-    /// columns are reinterpreted in place. Layout: magic, a fixed header
-    /// (`n`, `L`, layer count, seed, layer base, declared section
-    /// alignment), a per-layer entry-count table, then per layer the six
-    /// column sections (each zero-padded to the declared alignment),
-    /// the two aggregate sections, and the same CRC-32 trailer V2/V3 end
-    /// in. Only little-endian hosts write V4 (the format *is* the LE
-    /// in-memory image); elsewhere use [`WalkIndex::save`].
-    pub fn save_v4(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        #[cfg(not(target_endian = "little"))]
-        {
-            let _ = path;
-            Err(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                "RWDIDX4 is a little-endian zero-copy format; use save() (V2/V3) on this host",
-            ))
-        }
-        #[cfg(target_endian = "little")]
-        {
-            use crate::storage::pod_bytes;
-            use std::io::Write;
-            let file = std::fs::File::create(path)?;
-            let mut w = std::io::BufWriter::new(file);
-            let mut crc = crate::crc::Crc32::new();
-            let mut header = Vec::with_capacity(V4_FIXED_HEADER + self.layers.len() * 8);
-            header.extend_from_slice(MAGIC_V4);
-            for v in [
-                self.n as u64,
-                self.l as u64,
-                self.layers.len() as u64,
-                self.seed,
-                self.layer_base as u64,
-                V4_ALIGN,
-            ] {
-                header.extend_from_slice(&v.to_le_bytes());
-            }
-            for layer in &self.layers {
-                header.extend_from_slice(&(layer.ids.len() as u64).to_le_bytes());
-            }
-            crc.update(&header);
-            w.write_all(&header)?;
-            for layer in &self.layers {
-                write_v4_section(&mut w, &mut crc, pod_bytes(layer.offsets.as_slice()))?;
-                write_v4_section(&mut w, &mut crc, pod_bytes(layer.ids.as_slice()))?;
-                write_v4_section(&mut w, &mut crc, pod_bytes(layer.weights.as_slice()))?;
-                write_v4_section(&mut w, &mut crc, pod_bytes(layer.fwd_offsets.as_slice()))?;
-                write_v4_section(&mut w, &mut crc, pod_bytes(layer.fwd_ids.as_slice()))?;
-                write_v4_section(&mut w, &mut crc, pod_bytes(layer.fwd_weights.as_slice()))?;
-            }
-            write_v4_section(&mut w, &mut crc, pod_bytes(self.posting_counts.as_slice()))?;
-            write_v4_section(
-                &mut w,
-                &mut crc,
-                pod_bytes(self.posting_hop_sums.as_slice()),
-            )?;
-            w.write_all(&crc.finish().to_le_bytes())?;
-            w.flush()
-        }
-    }
-
-    /// Opens an RWDIDX4 file zero-copy: the file is mapped once
-    /// (`mmap(2)`), the CRC trailer and section layout are validated once,
-    /// and every posting column becomes a borrowed window into the map —
-    /// no per-element parse, no transposition, no allocation proportional
-    /// to postings. Pages fault in on first touch and remain evictable, so
-    /// a 100M-posting index answers its first point query at page-cache
-    /// speed. The opened index is **bitwise equal** (by value) to
-    /// [`WalkIndex::load`] of the same file; the first refresh that
-    /// touches a layer promotes exactly that layer's columns to the heap
-    /// (copy-on-write at layer grain).
-    ///
-    /// Requires a little-endian unix host (the on-disk columns are the LE
-    /// in-memory image); elsewhere, and for V2/V3 files, use
-    /// [`WalkIndex::load`].
+    /// On little-endian unix hosts the file is mapped once (`mmap(2)`)
+    /// and every column is a window into the map — no per-posting parse,
+    /// no transposition, no allocation proportional to postings; the
+    /// first refresh that touches a layer promotes exactly that layer's
+    /// columns to the heap (copy-on-write at layer grain). Elsewhere the
+    /// same sections are read straight into owned columns. Either way the
+    /// opened index is **bitwise equal** (by value) to the index that was
+    /// saved. Files in the obsolete RWDIDX1/2/3 formats are refused by
+    /// name; rebuild those indexes.
     pub fn open_mapped(path: impl AsRef<std::path::Path>) -> std::io::Result<WalkIndex> {
-        Self::open_mapped_impl(path.as_ref(), None)
+        Self::open_v4(path.as_ref(), cfg!(all(unix, target_endian = "little")))
     }
 
-    /// [`WalkIndex::open_mapped`] scoped to the layers of `range`, the
-    /// zero-copy twin of [`WalkIndex::load_layer_range`]: requires a
-    /// monolithic (layer base 0) RWDIDX4 file. The selected layers stay
-    /// mapped; the per-node aggregates are recomputed for the range (the
-    /// file's aggregate sections cover all layers), which streams the
-    /// range's postings once.
-    pub fn open_mapped_layer_range(
-        path: impl AsRef<std::path::Path>,
-        range: LayerRange,
-    ) -> std::io::Result<WalkIndex> {
-        Self::open_mapped_impl(path.as_ref(), Some(range))
-    }
-
-    fn open_mapped_impl(
-        path: &std::path::Path,
-        want: Option<LayerRange>,
-    ) -> std::io::Result<WalkIndex> {
-        if cfg!(not(target_endian = "little")) {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                "zero-copy index opens require a little-endian host \
-                 (RWDIDX4 stores little-endian columns); use load() instead",
-            ));
-        }
+    /// The decoder behind [`WalkIndex::open_mapped`]: `map` chooses
+    /// mapped windows or owned copies; every check is shared.
+    fn open_v4(path: &std::path::Path, map: bool) -> std::io::Result<WalkIndex> {
         let file = std::fs::File::open(path)?;
-        let region = Arc::new(MmapRegion::map(&file)?);
-        let bytes = region.as_bytes();
-        if bytes.len() < 8 {
-            return Err(bad_file("not a walk-index file (bad magic)"));
-        }
-        if &bytes[..8] == MAGIC_V1 {
-            return Err(bad_file(
-                "walk-index file uses the obsolete RWDIDX1 (AoS) layout; \
-                 rebuild the index and re-save it in the RWDIDX4 format",
-            ));
-        }
-        if &bytes[..8] == MAGIC_V2 || &bytes[..8] == MAGIC_V3 {
-            return Err(bad_file(
-                "walk-index file uses the RWDIDX2/RWDIDX3 layout, which has no \
-                 zero-copy open; load() it, or re-save with save_v4 for the mapped path",
-            ));
-        }
-        if &bytes[..8] != MAGIC_V4 {
-            return Err(bad_file("not a walk-index file (bad magic)"));
-        }
-        if bytes.len() < V4_FIXED_HEADER {
-            return Err(truncated());
-        }
-        let header = &bytes[..V4_FIXED_HEADER];
-        let layer_count64 = u64::from_le_bytes(header[24..32].try_into().unwrap());
-        if layer_count64.saturating_mul(8) > bytes.len() as u64 {
-            return Err(bad_file(
-                "corrupt walk-index file (header exceeds file size)",
-            ));
-        }
-        let table_end = V4_FIXED_HEADER + layer_count64 as usize * 8;
-        if bytes.len() < table_end {
-            return Err(truncated());
-        }
-        let entries: Vec<u64> = bytes[V4_FIXED_HEADER..table_end]
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        let layout = v4_layout(header, &entries, bytes.len() as u64)?;
-        check_v4_range(&layout, want)?;
-        // The one-and-only content scan: a chunked CRC sweep across all
-        // cores, folded exactly with crc32_combine — the checksum is the
-        // only O(file) work on this path, so it is the open time. After
-        // this, bulk payloads are trusted; only the structural offsets
-        // columns (which bound every later slice) are validated further.
-        let content = layout.content_len as usize;
-        let trailer = u32::from_le_bytes(bytes[content..content + 4].try_into().unwrap());
-        let cores = std::thread::available_parallelism().map_or(1, |t| t.get());
-        if trailer != crate::crc::crc32_parallel(&bytes[..content], cores) {
+        let src = if map {
+            Source::Mapped(Arc::new(MmapRegion::map(&file)?))
+        } else {
+            let len = file.metadata()?.len();
+            Source::Owned(file, len)
+        };
+        let layout = read_v4_layout(&src)?;
+        if !src.crc_matches(layout.content_len)? {
             return Err(bad_file(
                 "corrupt walk-index file (content checksum mismatch)",
             ));
         }
         let n = layout.n;
-        let selected: std::ops::Range<usize> = match want {
-            Some(rg) => rg.start()..rg.end(),
-            None => 0..layout.layers.len(),
-        };
-        let mut layers = Vec::with_capacity(selected.len());
-        for li in selected {
-            let spec = &layout.layers[li];
-            let offsets: Column<u32> = Column::mapped(region.clone(), spec.offsets, n + 1)?;
-            validate_mapped_offsets(&offsets, spec.entries)?;
-            let fwd_offsets: Column<u32> = Column::mapped(region.clone(), spec.fwd_offsets, n + 1)?;
-            validate_mapped_offsets(&fwd_offsets, spec.entries)?;
+        let mut layers = Vec::with_capacity(layout.layers.len());
+        for spec in &layout.layers {
+            let e = spec.entries;
+            let mut at = spec.start;
+            let mut next = |bytes: usize| {
+                let section = at;
+                at += bytes.div_ceil(8) * 8;
+                section
+            };
             layers.push(Layer {
-                offsets,
-                ids: Column::mapped(region.clone(), spec.ids, spec.entries)?,
-                weights: Column::mapped(region.clone(), spec.weights, spec.entries)?,
-                fwd_offsets,
-                fwd_ids: Column::mapped(region.clone(), spec.fwd_ids, spec.entries)?,
-                fwd_weights: Column::mapped(region.clone(), spec.fwd_weights, spec.entries)?,
+                offsets: src.column(next((n + 1) * 4), n + 1)?,
+                ids: src.column(next(e * 4), e)?,
+                weights: src.column(next(e * 2), e)?,
+                fwd_offsets: src.column(next((n + 1) * 4), n + 1)?,
+                fwd_ids: src.column(next(e * 4), e)?,
+                fwd_weights: src.column(next(e * 2), e)?,
             });
         }
-        let (posting_counts, posting_hop_sums) = if want.is_none() {
-            // Whole-file open: the stored aggregates are exactly what
-            // assemble() would compute (save_v4 wrote them from a canonical
-            // index), so map them too.
-            (
-                Column::mapped(region.clone(), layout.counts, n)?,
-                Column::mapped(region.clone(), layout.hop_sums, n)?,
-            )
-        } else {
-            // Ranged open: the file's aggregates cover *all* layers, so the
-            // partial index recomputes its own over the mapped columns.
-            let (c, h) = Self::compute_aggregates(n, &layers, 0);
-            (c.into(), h.into())
-        };
+        check_v4_layers(&layers, n, layout.l)?;
         Ok(WalkIndex {
             n,
             l: layout.l,
             layers,
             seed: layout.seed,
-            layer_base: want.map_or(layout.layer_base, |rg| rg.start()),
-            posting_counts,
-            posting_hop_sums,
+            layer_base: layout.layer_base,
+            posting_counts: src.column(layout.counts, n)?,
+            posting_hop_sums: src.column(layout.hop_sums, n)?,
         })
     }
 }
 
-const MAGIC_V1: &[u8; 8] = b"RWDIDX1\0";
-const MAGIC_V2: &[u8; 8] = b"RWDIDX2\0";
-const MAGIC_V3: &[u8; 8] = b"RWDIDX3\0";
 const MAGIC_V4: &[u8; 8] = b"RWDIDX4\0";
+
+/// Magics of the retired layouts (AoS, packed SoA, packed SoA shard):
+/// recognised only to refuse them by name.
+const OBSOLETE_MAGICS: [&[u8; 8]; 3] = [b"RWDIDX1\0", b"RWDIDX2\0", b"RWDIDX3\0"];
 
 /// Section alignment RWDIDX4 declares in its header: every section start
 /// is a multiple of 8 within the file, and `mmap(2)` bases are
@@ -2378,26 +1885,6 @@ const V4_ALIGN: u64 = 8;
 /// seed, layer base, section alignment). The per-layer entry table
 /// follows immediately.
 const V4_FIXED_HEADER: usize = 8 + 6 * 8;
-
-/// Transient-memory accounting of one deserializing load
-/// ([`WalkIndex::load_with_stats`]).
-///
-/// The load path never materializes the whole file: the CRC pass streams
-/// 64 KiB chunks and each parse worker positioned-reads one layer block
-/// at a time into a reused buffer. [`LoadStats::transient_peak_bytes`] is
-/// the high-water mark of those short-lived buffers — raw block bytes
-/// plus the 12-byte-per-posting forward-transposition staging — maximized
-/// over time per worker and summed across workers (workers peak
-/// independently, so the sum bounds any instant). Peak load memory is
-/// therefore bounded by `final index size + transient_peak_bytes`; the
-/// storage suite asserts the transient share stays ≤ 25% of
-/// [`WalkIndex::memory_bytes`] (peak ≤ 1.25× the final index), where the
-/// old whole-file-buffer-held-across-the-parse design peaked near 2×.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LoadStats {
-    /// High-water mark (bytes) of buffers that live only during the load.
-    pub transient_peak_bytes: usize,
-}
 
 fn bad_file(msg: &str) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
@@ -2411,8 +1898,7 @@ fn truncated() -> std::io::Error {
 }
 
 /// Positioned read (`pread(2)`): fills `buf` from absolute offset `off`
-/// without touching the shared cursor, so parse workers can read one open
-/// file concurrently.
+/// without touching the shared cursor.
 fn pread(file: &std::fs::File, buf: &mut [u8], off: u64) -> std::io::Result<()> {
     #[cfg(unix)]
     {
@@ -2421,8 +1907,7 @@ fn pread(file: &std::fs::File, buf: &mut [u8], off: u64) -> std::io::Result<()> 
     }
     #[cfg(not(unix))]
     {
-        // No positioned-read API: clone the handle and seek. Clones share
-        // the cursor, so off-unix loads keep a single reader.
+        // No positioned-read API: clone the handle and seek.
         use std::io::{Read, Seek, SeekFrom};
         let mut f = file.try_clone()?;
         f.seek(SeekFrom::Start(off))?;
@@ -2430,36 +1915,84 @@ fn pread(file: &std::fs::File, buf: &mut [u8], off: u64) -> std::io::Result<()> 
     }
 }
 
-/// Streams the checksummed content region in fixed chunks, compares the
-/// CRC-32 trailer, and returns the chunk-buffer size it used (for the
-/// transient accounting). The caller has already validated that
-/// `content_len + 4` bytes exist.
-fn verify_trailer(file: &std::fs::File, content_len: u64) -> std::io::Result<usize> {
-    const CRC_CHUNK: u64 = 64 << 10;
-    let cap = content_len.clamp(1, CRC_CHUNK) as usize;
-    let mut buf = vec![0u8; cap];
-    let mut crc = crate::crc::Crc32::new();
-    let mut pos = 0u64;
-    while pos < content_len {
-        let take = cap.min((content_len - pos) as usize);
-        pread(file, &mut buf[..take], pos)?;
-        crc.update(&buf[..take]);
-        pos += take as u64;
-    }
-    let mut t = [0u8; 4];
-    pread(file, &mut t, content_len)?;
-    if u32::from_le_bytes(t) != crc.finish() {
-        return Err(bad_file(
-            "corrupt walk-index file (content checksum mismatch)",
-        ));
-    }
-    Ok(cap)
+/// The bytes an RWDIDX4 decode reads from: the whole file mapped, or the
+/// open file (with its length) read section by section.
+enum Source {
+    Mapped(Arc<MmapRegion>),
+    Owned(std::fs::File, u64),
 }
 
-/// The cross-field header validation every format version shares: the
-/// counts constrain each other and the posting encoding, so values no
-/// builder can produce are rejected here instead of yielding a nonsense
-/// index.
+impl Source {
+    fn len(&self) -> u64 {
+        match self {
+            Source::Mapped(region) => region.len() as u64,
+            Source::Owned(_, len) => *len,
+        }
+    }
+
+    /// Fills `buf` from offset `off`; callers have checked the range
+    /// against [`Source::len`].
+    fn read(&self, off: u64, buf: &mut [u8]) -> std::io::Result<()> {
+        match self {
+            Source::Mapped(region) => {
+                let at = off as usize;
+                buf.copy_from_slice(&region.as_bytes()[at..at + buf.len()]);
+                Ok(())
+            }
+            Source::Owned(file, _) => pread(file, buf, off),
+        }
+    }
+
+    /// Whether the CRC-32 of the first `content_len` bytes matches the
+    /// 4-byte trailer that follows them. A map is swept on every core
+    /// (folded exactly with `crc32_combine`); a file is streamed in
+    /// 64 KiB chunks.
+    fn crc_matches(&self, content_len: u64) -> std::io::Result<bool> {
+        let crc = match self {
+            Source::Mapped(region) => crate::crc::crc32_parallel(
+                &region.as_bytes()[..content_len as usize],
+                resolve_threads(0),
+            ),
+            Source::Owned(file, _) => {
+                let mut buf = vec![0u8; content_len.clamp(1, 64 << 10) as usize];
+                let mut crc = crate::crc::Crc32::new();
+                let mut pos = 0u64;
+                while pos < content_len {
+                    let take = buf.len().min((content_len - pos) as usize);
+                    pread(file, &mut buf[..take], pos)?;
+                    crc.update(&buf[..take]);
+                    pos += take as u64;
+                }
+                crc.finish()
+            }
+        };
+        let mut trailer = [0u8; 4];
+        self.read(content_len, &mut trailer)?;
+        Ok(u32::from_le_bytes(trailer) == crc)
+    }
+
+    /// The `len`-element column at byte offset `off`: a window into the
+    /// map, or an owned copy read straight into its buffer (decoded from
+    /// little-endian). The layout walk has placed the section inside the
+    /// file.
+    fn column<T: Pod>(&self, off: usize, len: usize) -> std::io::Result<Column<T>> {
+        match self {
+            Source::Mapped(region) => Column::mapped(region.clone(), off, len),
+            Source::Owned(file, _) => {
+                let mut v = vec![T::default(); len];
+                pread(file, pod_bytes_mut(&mut v), off as u64)?;
+                if cfg!(target_endian = "big") {
+                    v.iter_mut().for_each(|x| *x = x.to_le());
+                }
+                Ok(v.into())
+            }
+        }
+    }
+}
+
+/// The cross-field header validation: the counts constrain each other
+/// and the posting encoding, so values no builder can produce are
+/// rejected here instead of yielding a nonsense index.
 /// * posting ids are u32, so an index over more than `u32::MAX` nodes is
 ///   unrepresentable (every id bound check would pass vacuously);
 /// * walks have `1 ≤ hop ≤ l ≤ u16::MAX` (the builder asserts it and hops
@@ -2488,70 +2021,18 @@ fn check_header_fields(n64: u64, l64: u64, layer_count64: u64, base64: u64) -> s
     Ok(())
 }
 
-/// Parses one `[offsets | ids | weights]` inverted block (the V2/V3 layer
-/// block body; V4 loads assemble the same shape from its sections) into a
-/// [`Layer`], validating structure as it decodes.
-fn parse_layer_block(n: usize, l: u32, entries: usize, block: &[u8]) -> std::io::Result<Layer> {
-    let (off_bytes, rest) = block.split_at((n + 1) * 4);
-    let (id_bytes, weight_bytes) = rest.split_at(entries * 4);
-    let mut offsets: Vec<u32> = Vec::with_capacity(n + 1);
-    let mut monotone = true;
-    let mut prev = 0u32;
-    for c in off_bytes.chunks_exact(4) {
-        let v = u32::from_le_bytes(c.try_into().unwrap());
-        monotone &= v >= prev;
-        prev = v;
-        offsets.push(v);
-    }
-    if !monotone || offsets.first() != Some(&0) || *offsets.last().unwrap_or(&0) as usize != entries
-    {
-        return Err(bad_file(
-            "corrupt walk-index file (offset/posting mismatch)",
-        ));
-    }
-    let mut ids: Vec<u32> = Vec::with_capacity(entries);
-    let mut in_range = true;
-    for c in id_bytes.chunks_exact(4) {
-        let id = u32::from_le_bytes(c.try_into().unwrap());
-        in_range &= (id as usize) < n;
-        ids.push(id);
-    }
-    if !in_range {
-        return Err(bad_file(
-            "corrupt walk-index file (posting id out of range)",
-        ));
-    }
-    let mut weights: Vec<u16> = Vec::with_capacity(entries);
-    let mut hops_ok = true;
-    for c in weight_bytes.chunks_exact(2) {
-        let w = u16::from_le_bytes(c.try_into().unwrap());
-        hops_ok &= (w as u32).wrapping_sub(1) < l;
-        weights.push(w);
-    }
-    if !hops_ok {
-        return Err(bad_file(
-            "corrupt walk-index file (hop weight outside 1..=L)",
-        ));
-    }
-    Ok(Layer::from_inverted(n, offsets, ids, weights))
-}
-
-/// Absolute file positions of one layer's six sections in an RWDIDX4 file.
-#[derive(Clone, Copy)]
+/// One layer's place in an RWDIDX4 file: its posting count and the file
+/// offset of its first section. The six sections (inverted offsets, ids,
+/// weights, then the forward triplet) follow back to back, each padded to
+/// 8 bytes.
 struct V4LayerSpec {
     entries: usize,
-    offsets: usize,
-    ids: usize,
-    weights: usize,
-    fwd_offsets: usize,
-    fwd_ids: usize,
-    fwd_weights: usize,
+    start: usize,
 }
 
 /// Everything the RWDIDX4 fixed header + entry table determine: validated
-/// field values and the absolute position of every section. Shared by the
-/// mapped open, the deserializing load and [`inspect_index_file`], so all
-/// three agree on the format byte for byte.
+/// field values and the position of every section. Shared by the opener
+/// and [`inspect_index_file`], so both agree on the format byte for byte.
 struct V4Layout {
     n: usize,
     l: u32,
@@ -2564,118 +2045,156 @@ struct V4Layout {
     content_len: u64,
 }
 
-/// Walks the RWDIDX4 section structure, validating every size against the
-/// actual file length (checked arithmetic throughout — a crafted entry
-/// table yields `InvalidData`, never overflow or an absurd allocation)
-/// and requiring the tiling to account for every content byte.
-fn v4_layout(header: &[u8], entries: &[u64], file_len: u64) -> std::io::Result<V4Layout> {
+/// Reads and validates an index file's magic, fixed header and entry
+/// table, and walks the section tiling against the actual file length.
+/// Checked arithmetic throughout, and the entry table is read only once
+/// the file is big enough to hold that many layers, so a crafted header
+/// yields a named error, never overflow or an allocation larger than the
+/// file. The tiling must account for every content byte.
+fn read_v4_layout(src: &Source) -> std::io::Result<V4Layout> {
+    let file_len = src.len();
+    let mut header = [0u8; V4_FIXED_HEADER];
+    if file_len < 8 {
+        return Err(bad_file("not a walk-index file (bad magic)"));
+    }
+    src.read(0, &mut header[..8])?;
+    if let Some(old) = OBSOLETE_MAGICS.iter().find(|m| header[..8] == m[..]) {
+        let name = String::from_utf8_lossy(&old[..7]);
+        return Err(bad_file(&format!(
+            "obsolete walk-index format ({name}); rebuild the index"
+        )));
+    }
+    if &header[..8] != MAGIC_V4 {
+        return Err(bad_file("not a walk-index file (bad magic)"));
+    }
+    if file_len < V4_FIXED_HEADER as u64 {
+        return Err(truncated());
+    }
+    src.read(0, &mut header)?;
     let u64_at = |i: usize| u64::from_le_bytes(header[8 + i * 8..16 + i * 8].try_into().unwrap());
-    let n64 = u64_at(0);
-    let l64 = u64_at(1);
-    let layer_count64 = u64_at(2);
-    let seed = u64_at(3);
-    let base64 = u64_at(4);
-    let align = u64_at(5);
+    let (n64, l64, layer_count64) = (u64_at(0), u64_at(1), u64_at(2));
+    let (seed, base64, align) = (u64_at(3), u64_at(4), u64_at(5));
     check_header_fields(n64, l64, layer_count64, base64)?;
     if align != V4_ALIGN {
         return Err(bad_file(
             "corrupt walk-index file (unsupported section alignment; this build reads 8)",
         ));
     }
-    if entries.len() as u64 != layer_count64 {
-        return Err(truncated());
-    }
     let pad8 = |x: u64| x.div_ceil(8) * 8;
-    let overflow = || bad_file("corrupt walk-index file (layer exceeds file size)");
-    let n = n64 as usize;
+    // n ≤ u32::MAX, so these sizes cannot overflow.
     let off_bytes = pad8((n64 + 1) * 4);
-    let mut cur: u64 = V4_FIXED_HEADER as u64 + layer_count64 * 8;
-    let mut layers = Vec::with_capacity(entries.len());
-    for &e in entries {
+    let agg_bytes = pad8(n64 * 8);
+    // The smallest file with this many layers: an entry and two offsets
+    // sections per layer, plus the aggregates and the trailer.
+    let smallest = layer_count64
+        .checked_mul(8 + 2 * off_bytes)
+        .and_then(|b| b.checked_add(V4_FIXED_HEADER as u64 + 2 * agg_bytes + 4));
+    if smallest.is_none_or(|s| s > file_len) {
+        return Err(bad_file(
+            "corrupt walk-index file (header exceeds file size)",
+        ));
+    }
+    let mut table = vec![0u8; layer_count64 as usize * 8];
+    src.read(V4_FIXED_HEADER as u64, &mut table)?;
+    let overflow = || bad_file("corrupt walk-index file (layer exceeds file size)");
+    let mut cur = (V4_FIXED_HEADER + table.len()) as u64;
+    let mut layers = Vec::with_capacity(layer_count64 as usize);
+    for c in table.chunks_exact(8) {
+        let e = u64::from_le_bytes(c.try_into().unwrap());
         if e > u32::MAX as u64 {
             return Err(bad_file(
                 "corrupt walk-index file (layer posting count overflows u32 offsets)",
             ));
         }
-        let ids_bytes = pad8(e.checked_mul(4).ok_or_else(overflow)?);
-        let weight_bytes = pad8(e.checked_mul(2).ok_or_else(overflow)?);
-        let section = |len: u64, cur: &mut u64| -> std::io::Result<usize> {
-            let at = *cur;
-            *cur = cur.checked_add(len).ok_or_else(overflow)?;
-            if *cur > file_len {
-                return Err(overflow());
-            }
-            Ok(at as usize)
-        };
+        let start = cur;
+        let layer_bytes = 2 * (off_bytes + pad8(e * 4) + pad8(e * 2));
+        cur = cur.checked_add(layer_bytes).ok_or_else(overflow)?;
+        if cur > file_len {
+            return Err(overflow());
+        }
         layers.push(V4LayerSpec {
             entries: e as usize,
-            offsets: section(off_bytes, &mut cur)?,
-            ids: section(ids_bytes, &mut cur)?,
-            weights: section(weight_bytes, &mut cur)?,
-            fwd_offsets: section(off_bytes, &mut cur)?,
-            fwd_ids: section(ids_bytes, &mut cur)?,
-            fwd_weights: section(weight_bytes, &mut cur)?,
+            start: start as usize,
         });
     }
-    let agg_bytes = pad8(n64 * 8);
-    let counts = cur as usize;
-    cur = cur.checked_add(agg_bytes).ok_or_else(overflow)?;
-    let hop_sums = cur as usize;
-    cur = cur.checked_add(agg_bytes).ok_or_else(overflow)?;
-    if cur.checked_add(4) != Some(file_len) {
+    let counts = cur;
+    let hop_sums = counts + agg_bytes;
+    let content_len = hop_sums + agg_bytes;
+    if content_len.checked_add(4) != Some(file_len) {
         return Err(bad_file(
             "corrupt walk-index file (size mismatch before checksum trailer)",
         ));
     }
     Ok(V4Layout {
-        n,
+        n: n64 as usize,
         l: l64 as u32,
         seed,
         layer_base: base64 as usize,
         layers,
-        counts,
-        hop_sums,
-        content_len: cur,
+        counts: counts as usize,
+        hop_sums: hop_sums as usize,
+        content_len,
     })
 }
 
-/// The layer-range admissibility rules shared by the ranged V4 open paths.
-fn check_v4_range(layout: &V4Layout, want: Option<LayerRange>) -> std::io::Result<()> {
-    if let Some(range) = want {
-        if layout.layer_base != 0 {
+/// Validates every section of the decoded layers: in both views the CSR
+/// offsets start at 0, never decrease and end at the layer's posting
+/// count, every posting id is `< n` and every hop lies in `1..=L`. The
+/// offsets bound every later postings slice and the ids index per-node
+/// tables, so after this pass no read path can index out of bounds.
+/// Layers are checked in parallel above the shared work gate; the error
+/// reported is the first failing layer's, whatever the schedule.
+fn check_v4_layers(layers: &[Layer], n: usize, l: u32) -> std::io::Result<()> {
+    let check_view = |offsets: &[u32], ids: &[u32], hops: &[u16]| -> std::io::Result<()> {
+        let monotone = offsets.windows(2).all(|w| w[0] <= w[1]);
+        if offsets.first() != Some(&0) || !monotone || offsets.last() != Some(&(ids.len() as u32)) {
             return Err(bad_file(
-                "layer-range opens require a monolithic (layer base 0) index file, \
-                 not an already-sharded one",
+                "corrupt walk-index file (offset/posting mismatch)",
             ));
         }
-        if range.end() > layout.layers.len() {
+        // Branch-free folds, so each column streams through once.
+        let max_id = ids.iter().fold(0, |m, &id| m.max(id));
+        if !ids.is_empty() && max_id as usize >= n {
             return Err(bad_file(
-                "requested layer range exceeds the file's layer count",
+                "corrupt walk-index file (posting id out of range)",
             ));
         }
+        let (lo, hi) = hops
+            .iter()
+            .fold((u16::MAX, 0), |(lo, hi), &h| (lo.min(h), hi.max(h)));
+        if !hops.is_empty() && (lo < 1 || hi as u32 > l) {
+            return Err(bad_file(
+                "corrupt walk-index file (hop weight outside 1..=L)",
+            ));
+        }
+        Ok(())
+    };
+    let check = |layer: &Layer| {
+        check_view(&layer.offsets, &layer.ids, &layer.weights)?;
+        check_view(&layer.fwd_offsets, &layer.fwd_ids, &layer.fwd_weights)
+    };
+    let total: usize = layers.iter().map(|la| la.ids.len()).sum();
+    let workers = if n + total < crate::parallel::MIN_PARALLEL_SWEEP_WORK {
+        1
+    } else {
+        resolve_threads(0).min(layers.len())
+    };
+    if workers <= 1 {
+        return layers.iter().try_for_each(check);
     }
-    Ok(())
-}
-
-/// Structural validation a mapped open performs on each CSR offsets
-/// column. The offsets bound every later postings slice, so they are
-/// checked eagerly (one pass over `n + 1` values per view); the bulk
-/// id/weight payloads are trusted under the CRC trailer — corruption that
-/// survives a CRC match can only produce wrong answers or a clean
-/// bounds-check panic, never out-of-bounds reads of the map.
-fn validate_mapped_offsets(offsets: &[u32], entries: usize) -> std::io::Result<()> {
-    let mut monotone = offsets.first() == Some(&0);
-    let mut prev = 0u32;
-    for &v in offsets {
-        monotone &= v >= prev;
-        prev = v;
-    }
-    if !monotone || offsets.last().map(|&e| e as usize) != Some(entries) {
-        return Err(bad_file(
-            "corrupt walk-index file (offset/posting mismatch)",
-        ));
-    }
-    Ok(())
+    let chunk = layers.len().div_ceil(workers);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = layers
+            .chunks(chunk)
+            .map(|c| {
+                let check = &check;
+                scope.spawn(move || c.iter().try_for_each(check))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .try_for_each(|h| h.join().expect("index check worker panicked"))
+    })
 }
 
 /// What [`inspect_index_file`] reports: the facts the header and section
@@ -2683,8 +2202,6 @@ fn validate_mapped_offsets(offsets: &[u32], entries: usize) -> std::io::Result<(
 /// constructing a [`WalkIndex`].
 #[derive(Clone, Debug)]
 pub struct IndexFileInfo {
-    /// On-disk format version: 2 (RWDIDX2), 3 (RWDIDX3) or 4 (RWDIDX4).
-    pub version: u32,
     /// Node-universe size `n`.
     pub n: u64,
     /// Walk-length bound `L`.
@@ -2697,149 +2214,61 @@ pub struct IndexFileInfo {
     pub seed: u64,
     /// Total inverted postings across the stored layers.
     pub total_postings: u64,
-    /// Header-declared section alignment (V4 only).
-    pub section_align: Option<u64>,
+    /// Header-declared section alignment in bytes.
+    pub section_align: u64,
     /// Total file size in bytes.
     pub file_bytes: u64,
     /// Whether the CRC-32 content trailer matches.
     pub crc_ok: bool,
 }
 
-/// Reads an index file's header and section structure — format version,
-/// dimensions, layer range, posting count, alignment — and verifies the
-/// CRC trailer, without constructing an index: no column parse, no
-/// transposition, `O(R)` memory and one streamed pass of I/O. Structural
-/// corruption (impossible sizes, bad tiling) errors out; a CRC mismatch
-/// is *reported* (`crc_ok: false`) so damaged files can still be triaged.
+/// Reads an RWDIDX4 file's header and section structure — dimensions,
+/// layer range, posting count, alignment — and verifies the CRC trailer,
+/// without constructing an index: no column read, `O(R)` memory and one
+/// streamed pass of I/O. It runs the opener's own header and tiling
+/// checks, so structural corruption (and an obsolete format) errors out
+/// by the same name; a CRC mismatch is *reported* (`crc_ok: false`) so
+/// damaged files can still be triaged.
 pub fn inspect_index_file(path: impl AsRef<std::path::Path>) -> std::io::Result<IndexFileInfo> {
     let file = std::fs::File::open(path.as_ref())?;
-    let file_len = file.metadata()?.len();
-    if file_len < 8 {
-        return Err(bad_file("not a walk-index file (bad magic)"));
-    }
-    let mut magic = [0u8; 8];
-    pread(&file, &mut magic, 0)?;
-    if &magic == MAGIC_V1 {
-        return Err(bad_file(
-            "walk-index file uses the obsolete RWDIDX1 (AoS) layout; \
-             rebuild the index and re-save it in the RWDIDX2 format",
-        ));
-    }
-    let crc_status = |content_len: u64| -> std::io::Result<bool> {
-        Ok(verify_trailer(&file, content_len).is_ok())
-    };
-    if &magic == MAGIC_V4 {
-        if file_len < V4_FIXED_HEADER as u64 {
-            return Err(truncated());
-        }
-        let mut header = [0u8; V4_FIXED_HEADER];
-        pread(&file, &mut header, 0)?;
-        let layer_count64 = u64::from_le_bytes(header[24..32].try_into().unwrap());
-        if layer_count64.saturating_mul(8) > file_len {
-            return Err(bad_file(
-                "corrupt walk-index file (header exceeds file size)",
-            ));
-        }
-        let mut table = vec![0u8; layer_count64 as usize * 8];
-        if file_len < V4_FIXED_HEADER as u64 + table.len() as u64 {
-            return Err(truncated());
-        }
-        pread(&file, &mut table, V4_FIXED_HEADER as u64)?;
-        let entries: Vec<u64> = table
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        let layout = v4_layout(&header, &entries, file_len)?;
-        return Ok(IndexFileInfo {
-            version: 4,
-            n: layout.n as u64,
-            l: layout.l as u64,
-            layer_count: layout.layers.len() as u64,
-            layer_base: layout.layer_base as u64,
-            seed: layout.seed,
-            total_postings: entries.iter().sum(),
-            section_align: Some(V4_ALIGN),
-            file_bytes: file_len,
-            crc_ok: crc_status(layout.content_len)?,
-        });
-    }
-    if &magic != MAGIC_V2 && &magic != MAGIC_V3 {
-        return Err(bad_file("not a walk-index file (bad magic)"));
-    }
-    let v3 = &magic == MAGIC_V3;
-    let content_len = file_len.saturating_sub(4);
-    let header_len: usize = if v3 { 40 } else { 32 };
-    if file_len < 8 + header_len as u64 {
-        return Err(truncated());
-    }
-    let mut header = [0u8; 40];
-    pread(&file, &mut header[..header_len], 8)?;
-    let u64_at = |i: usize| u64::from_le_bytes(header[i * 8..(i + 1) * 8].try_into().unwrap());
-    let (n64, l64, layer_count64, seed) = (u64_at(0), u64_at(1), u64_at(2), u64_at(3));
-    let base64 = if v3 { u64_at(4) } else { 0 };
-    check_header_fields(n64, l64, layer_count64, base64)?;
-    if n64.saturating_mul(4) > content_len || layer_count64.saturating_mul(8) > content_len {
-        return Err(bad_file(
-            "corrupt walk-index file (header exceeds file size)",
-        ));
-    }
-    // Boundary walk over the length prefixes only.
-    let mut consumed: u64 = 8 + header_len as u64;
-    let mut total_postings = 0u64;
-    for _ in 0..layer_count64 {
-        if file_len < consumed + 8 {
-            return Err(truncated());
-        }
-        let mut prefix = [0u8; 8];
-        pread(&file, &mut prefix, consumed)?;
-        consumed += 8;
-        let entries64 = u64::from_le_bytes(prefix);
-        let block64 = ((n64 + 1) * 4).saturating_add(entries64.saturating_mul(6));
-        if block64 > content_len {
-            return Err(bad_file(
-                "corrupt walk-index file (layer exceeds file size)",
-            ));
-        }
-        if file_len < consumed + block64 {
-            return Err(truncated());
-        }
-        total_postings += entries64;
-        consumed += block64;
-    }
-    if consumed != content_len {
-        return Err(bad_file(
-            "corrupt walk-index file (size mismatch before checksum trailer)",
-        ));
-    }
+    let len = file.metadata()?.len();
+    let src = Source::Owned(file, len);
+    let layout = read_v4_layout(&src)?;
     Ok(IndexFileInfo {
-        version: if v3 { 3 } else { 2 },
-        n: n64,
-        l: l64,
-        layer_count: layer_count64,
-        layer_base: base64,
-        seed,
-        total_postings,
-        section_align: None,
-        file_bytes: file_len,
-        crc_ok: crc_status(content_len)?,
+        n: layout.n as u64,
+        l: layout.l as u64,
+        layer_count: layout.layers.len() as u64,
+        layer_base: layout.layer_base as u64,
+        seed: layout.seed,
+        total_postings: layout.layers.iter().map(|s| s.entries as u64).sum(),
+        section_align: V4_ALIGN,
+        file_bytes: len,
+        crc_ok: src.crc_matches(layout.content_len)?,
     })
 }
 
-/// Writes one RWDIDX4 section: the raw little-endian column image,
+/// Writes one RWDIDX4 section: the column's little-endian image,
 /// zero-padded to the declared 8-byte alignment, folded into the CRC.
-#[cfg(target_endian = "little")]
-fn write_v4_section<W: std::io::Write>(
+fn write_v4_section<T: Pod, W: std::io::Write>(
     w: &mut W,
     crc: &mut crate::crc::Crc32,
-    bytes: &[u8],
+    col: &[T],
 ) -> std::io::Result<()> {
-    crc.update(bytes);
-    w.write_all(bytes)?;
-    let rem = bytes.len() % 8;
+    let mut put = |bytes: &[u8]| {
+        crc.update(bytes);
+        w.write_all(bytes)
+    };
+    if cfg!(target_endian = "little") {
+        put(pod_bytes(col))?;
+    } else {
+        for chunk in col.chunks(4096) {
+            let le: Vec<T> = chunk.iter().map(|x| x.to_le()).collect();
+            put(pod_bytes(&le))?;
+        }
+    }
+    let rem = std::mem::size_of_val(col) % 8;
     if rem != 0 {
-        let pad = [0u8; 8];
-        crc.update(&pad[..8 - rem]);
-        w.write_all(&pad[..8 - rem])?;
+        put(&[0u8; 8][..8 - rem])?;
     }
     Ok(())
 }
@@ -3106,8 +2535,8 @@ mod tests {
         let dir = std::env::temp_dir().join("rwd_index_io");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("fig1.rwdidx");
-        idx.save(&path).unwrap();
-        let loaded = WalkIndex::load(&path).unwrap();
+        idx.save_v4(&path).unwrap();
+        let loaded = WalkIndex::open_mapped(&path).unwrap();
         assert_eq!(loaded.n(), idx.n());
         assert_eq!(loaded.l(), idx.l());
         assert_eq!(loaded.r(), idx.r());
@@ -3115,13 +2544,13 @@ mod tests {
         for layer in 0..idx.r() {
             for v in g.nodes() {
                 assert_eq!(loaded.postings(layer, v), idx.postings(layer, v));
-                // The forward view is rebuilt from the inverted columns on
-                // load (the file stores only the inverted lists), and the
-                // transposition is canonical, so it must match too.
+                // The file stores the forward view too, so it comes back
+                // without a transposition, bit for bit.
                 assert_eq!(loaded.forward(layer, v), idx.forward(layer, v));
             }
         }
-        // The reloaded index drives identical estimates.
+        assert!(loaded == idx);
+        // The reopened index drives identical estimates.
         let set = NodeSet::from_nodes(8, [NodeId(1), NodeId(6)]);
         assert_eq!(
             loaded.estimate_hit_times(&set),
@@ -3136,7 +2565,13 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bad.rwdidx");
         std::fs::write(&path, b"definitely not an index").unwrap();
-        assert!(WalkIndex::load(&path).is_err());
+        for err in [
+            WalkIndex::open_mapped(&path).unwrap_err(),
+            WalkIndex::open_v4(&path, false).unwrap_err(),
+            inspect_index_file(&path).unwrap_err(),
+        ] {
+            assert!(err.to_string().contains("bad magic"), "{err}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -3154,31 +2589,52 @@ mod tests {
         assert_eq!(idx.total_postings(), one.total_postings());
     }
 
+    /// An RWDIDX4 fixed header with the given fields (alignment 8).
+    fn v4_header(n: u64, l: u64, layers: u64, base: u64) -> Vec<u8> {
+        let mut bytes = MAGIC_V4.to_vec();
+        for v in [n, l, layers, 7, base, V4_ALIGN] {
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
+        bytes
+    }
+
+    /// Every way of reading `path` must refuse it; returns the messages.
+    fn refusals(path: &std::path::Path) -> Vec<std::io::Error> {
+        vec![
+            WalkIndex::open_mapped(path).unwrap_err(),
+            WalkIndex::open_v4(path, false).unwrap_err(),
+            inspect_index_file(path).unwrap_err(),
+        ]
+    }
+
     #[test]
     fn load_rejects_oversized_header_counts_without_allocating() {
         let dir = std::env::temp_dir().join("rwd_index_io_huge");
         std::fs::create_dir_all(&dir).unwrap();
         // n = u64::MAX in the header: must be InvalidData, not a panic or a
         // giant allocation.
-        let mut bytes = b"RWDIDX2\0".to_vec();
-        bytes.extend_from_slice(&u64::MAX.to_le_bytes()); // n
-        bytes.extend_from_slice(&4u64.to_le_bytes()); // l
-        bytes.extend_from_slice(&1u64.to_le_bytes()); // layers
-        bytes.extend_from_slice(&7u64.to_le_bytes()); // seed
         let path = dir.join("huge_n.rwdidx");
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(WalkIndex::load(&path).is_err());
+        std::fs::write(&path, v4_header(u64::MAX, 4, 1, 0)).unwrap();
+        for err in refusals(&path) {
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        }
+
+        // A layer count whose entry table alone would dwarf the file.
+        let path = dir.join("huge_layers.rwdidx");
+        std::fs::write(&path, v4_header(8, 4, u32::MAX as u64, 0)).unwrap();
+        for err in refusals(&path) {
+            assert!(err.to_string().contains("exceeds file size"), "{err}");
+        }
 
         // Plausible n but an absurd per-layer entry count: same contract.
-        let mut bytes = b"RWDIDX2\0".to_vec();
-        bytes.extend_from_slice(&8u64.to_le_bytes()); // n
-        bytes.extend_from_slice(&4u64.to_le_bytes()); // l
-        bytes.extend_from_slice(&1u64.to_le_bytes()); // layers
-        bytes.extend_from_slice(&7u64.to_le_bytes()); // seed
+        let mut bytes = v4_header(8, 4, 1, 0);
         bytes.extend_from_slice(&u64::MAX.to_le_bytes()); // layer entries
+        bytes.extend(vec![0u8; 2 * 40 + 2 * 64 + 4]); // room for an empty layer
         let path = dir.join("huge_entries.rwdidx");
         std::fs::write(&path, &bytes).unwrap();
-        assert!(WalkIndex::load(&path).is_err());
+        for err in refusals(&path) {
+            assert!(err.to_string().contains("overflows u32 offsets"), "{err}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -3189,70 +2645,63 @@ mod tests {
         // produce: such files must be InvalidData, never a nonsense index.
         let dir = std::env::temp_dir().join("rwd_index_io_header");
         std::fs::create_dir_all(&dir).unwrap();
-        let header = |n: u64, l: u64, layers: u64| -> Vec<u8> {
-            let mut bytes = b"RWDIDX2\0".to_vec();
-            bytes.extend_from_slice(&n.to_le_bytes());
-            bytes.extend_from_slice(&l.to_le_bytes());
-            bytes.extend_from_slice(&layers.to_le_bytes());
-            bytes.extend_from_slice(&7u64.to_le_bytes()); // seed
-            bytes
+        let expect = |bytes: Vec<u8>, name: &str, msg: &str| {
+            let path = dir.join(name);
+            std::fs::write(&path, bytes).unwrap();
+            for err in refusals(&path) {
+                assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{name}");
+                assert!(err.to_string().contains(msg), "{name}: {err}");
+            }
         };
-        // One structurally valid empty layer block for n nodes.
-        let empty_layer = |n: usize| -> Vec<u8> {
-            let mut bytes = 0u64.to_le_bytes().to_vec(); // entries
-            bytes.extend(vec![0u8; (n + 1) * 4]); // offsets
-            bytes
-        };
-
         // n just past the u32 posting-id range (ids could never reference
         // the upper nodes, so the index is unrepresentable).
-        let mut bytes = header(u32::MAX as u64 + 1, 4, 1);
-        bytes.extend(empty_layer(4)); // content irrelevant; header rejects
-        let path = dir.join("n_past_u32.rwdidx");
-        std::fs::write(&path, &bytes).unwrap();
-        let err = WalkIndex::load(&path).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("posting-id range"), "{err}");
-
-        // l = 0: no posting can satisfy 1 <= hop <= l. Without the check
-        // this loaded "successfully" as an all-empty nonsense index.
-        let mut bytes = header(4, 0, 1);
-        bytes.extend(empty_layer(4));
-        let path = dir.join("l_zero.rwdidx");
-        std::fs::write(&path, &bytes).unwrap();
-        let err = WalkIndex::load(&path).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("walk length"), "{err}");
-
+        expect(
+            v4_header(u32::MAX as u64 + 1, 4, 1, 0),
+            "n_past_u32.rwdidx",
+            "posting-id range",
+        );
+        // l = 0: no posting can satisfy 1 <= hop <= l.
+        expect(v4_header(4, 0, 1, 0), "l_zero.rwdidx", "walk length");
         // l past the u16 hop range (hops are stored as u16).
-        let path = dir.join("l_huge.rwdidx");
-        std::fs::write(&path, header(4, u16::MAX as u64 + 1, 1)).unwrap();
-        assert!(WalkIndex::load(&path).is_err());
-
+        expect(
+            v4_header(4, u16::MAX as u64 + 1, 1, 0),
+            "l_huge.rwdidx",
+            "walk length",
+        );
         // layer_count = 0: r() would be 0 and every estimator would divide
-        // by zero. Without the check this also loaded "successfully".
-        let path = dir.join("zero_layers.rwdidx");
-        std::fs::write(&path, header(4, 4, 0)).unwrap();
-        let err = WalkIndex::load(&path).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("zero walk layers"), "{err}");
-
+        // by zero.
+        expect(
+            v4_header(4, 4, 0, 0),
+            "zero_layers.rwdidx",
+            "zero walk layers",
+        );
+        // A layer base no shard tiling can reach.
+        expect(
+            v4_header(4, 4, 2, u32::MAX as u64),
+            "base_huge.rwdidx",
+            "layer base",
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn load_rejects_old_rwdidx1_format_with_clear_message() {
+        // Every retired layout is refused by one named error that names
+        // the format and says what to do.
         let dir = std::env::temp_dir().join("rwd_index_io_v1");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("old.rwdidx");
-        let mut bytes = b"RWDIDX1\0".to_vec();
-        bytes.extend_from_slice(&[0u8; 32]);
-        std::fs::write(&path, &bytes).unwrap();
-        let err = WalkIndex::load(&path).unwrap_err();
-        assert!(
-            err.to_string().contains("RWDIDX1"),
-            "error should name the old format: {err}"
-        );
+        for old in ["RWDIDX1", "RWDIDX2", "RWDIDX3"] {
+            let mut bytes = format!("{old}\0").into_bytes();
+            bytes.extend_from_slice(&[0u8; 64]);
+            std::fs::write(&path, &bytes).unwrap();
+            for err in refusals(&path) {
+                let msg = err.to_string();
+                assert!(msg.contains("obsolete walk-index format"), "{msg}");
+                assert!(msg.contains(old), "error should name the old format: {msg}");
+                assert!(msg.contains("rebuild the index"), "{msg}");
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -3268,39 +2717,41 @@ mod tests {
         let g = paper_example::figure1();
         let idx = WalkIndex::build(&g, 4, 6, 13);
         let path = dir.join("good.rwdidx");
-        idx.save(&path).unwrap();
+        idx.save_v4(&path).unwrap();
         let good = std::fs::read(&path).unwrap();
-        assert!(WalkIndex::load(&path).is_ok());
+        assert!(WalkIndex::open_mapped(&path).is_ok());
 
+        let opens = |p: &std::path::Path| {
+            [
+                WalkIndex::open_mapped(p).unwrap_err(),
+                WalkIndex::open_v4(p, false).unwrap_err(),
+            ]
+        };
         let expect_crc_mismatch = |bytes: &[u8], what: &str| {
             let p = dir.join("damaged.rwdidx");
             std::fs::write(&p, bytes).unwrap();
-            let err = WalkIndex::load(&p).unwrap_err();
-            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}");
-            assert!(
-                err.to_string().contains("content checksum mismatch"),
-                "{what}: {err}"
-            );
+            for err in opens(&p) {
+                assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}");
+                assert!(
+                    err.to_string().contains("content checksum mismatch"),
+                    "{what}: {err}"
+                );
+            }
+            assert!(!inspect_index_file(&p).unwrap().crc_ok, "{what}");
         };
 
         // Flip one bit in the RNG seed (header bytes 32..40): structurally
-        // unconstrained, so before the trailer this loaded "successfully"
-        // as an index whose refreshes would silently diverge.
+        // unconstrained, so only the trailer stops an index whose
+        // refreshes would silently diverge.
         let mut rot = good.clone();
         rot[33] ^= 0x10;
         expect_crc_mismatch(&rot, "seed bit flip");
 
-        // Flip one bit in a posting id byte deep in the payload (still a
-        // valid node id, so the structural checks pass).
+        // Flip one bit deep in the payload.
         let mut rot = good.clone();
         let mid = good.len() / 2;
         rot[mid] ^= 0x01;
-        let p = dir.join("mid_flip.rwdidx");
-        std::fs::write(&p, &rot).unwrap();
-        // Depending on which field the bit lands in, a structural check may
-        // fire first — either way the load must fail with InvalidData.
-        let err = WalkIndex::load(&p).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        expect_crc_mismatch(&rot, "payload bit flip");
 
         // Flip a bit in the trailer itself.
         let mut rot = good.clone();
@@ -3314,18 +2765,107 @@ mod tests {
         fat.extend_from_slice(&[0u8; 16]);
         let p = dir.join("fat.rwdidx");
         std::fs::write(&p, &fat).unwrap();
-        let err = WalkIndex::load(&p).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("size mismatch"), "{err}");
+        for err in refusals(&p) {
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("size mismatch"), "{err}");
+        }
 
-        // A shard (RWDIDX3) file gets the same protection.
+        // A shard file (nonzero layer base) gets the same protection.
         let part = WalkIndex::build_layer_range(&g, 4, LayerRange::new(2, 5), 13, 0);
         let spath = dir.join("shard.rwdidx");
-        part.save(&spath).unwrap();
+        part.save_v4(&spath).unwrap();
         let mut rot = std::fs::read(&spath).unwrap();
-        rot[41] ^= 0x04; // inside the layer_base extension / payload
+        rot[41] ^= 0x04; // inside the layer-base field
         expect_crc_mismatch(&rot, "shard bit flip");
 
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Byte offset of layer `li`'s `section` (0..6: inverted offsets, ids,
+    /// weights, forward offsets, ids, weights) in an RWDIDX4 file of `idx`.
+    fn v4_section_at(idx: &WalkIndex, li: usize, section: usize) -> usize {
+        let pad8 = |x: usize| x.div_ceil(8) * 8;
+        let n = idx.n();
+        let sizes = |e: usize| [(n + 1) * 4, e * 4, e * 2, (n + 1) * 4, e * 4, e * 2];
+        let mut at = V4_FIXED_HEADER + 8 * idx.r();
+        for layer in &idx.layers[..li] {
+            at += sizes(layer.ids.len())
+                .iter()
+                .map(|&b| pad8(b))
+                .sum::<usize>();
+        }
+        at + sizes(idx.layers[li].ids.len())[..section]
+            .iter()
+            .map(|&b| pad8(b))
+            .sum::<usize>()
+    }
+
+    /// Rewrites the CRC trailer so only the structural checks can object.
+    fn reseal(bytes: &mut [u8]) {
+        let content = bytes.len() - 4;
+        let sum = crate::crc::crc32(&bytes[..content]);
+        bytes[content..].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    #[test]
+    fn owned_fallback_matches_mapped_open_and_the_built_index() {
+        // The fallback other hosts take, called directly: the same
+        // sections read into owned columns must equal the mapped open and
+        // the index that was saved, bit for bit, with nothing mapped.
+        let g = rwd_graph::generators::barabasi_albert(60, 3, 11).unwrap();
+        let dir = std::env::temp_dir().join("rwd_index_io_owned");
+        std::fs::create_dir_all(&dir).unwrap();
+        for idx in [
+            WalkIndex::build(&g, 5, 6, 77),
+            WalkIndex::build_layer_range(&g, 5, LayerRange::new(2, 5), 77, 0),
+            WalkIndex::build_weighted(&rwd_graph::weighted::weighted_twin(&g, 3).unwrap(), 5, 4, 9),
+        ] {
+            let path = dir.join("idx.rwdidx");
+            idx.save_v4(&path).unwrap();
+            let owned = WalkIndex::open_v4(&path, false).unwrap();
+            assert!(owned == idx);
+            assert_eq!(owned.layer_range(), idx.layer_range());
+            assert_eq!(owned.mapped_bytes(), 0);
+            assert_eq!(owned.mapped_layers(), 0);
+            assert_eq!(owned.heap_bytes(), idx.heap_bytes());
+            let opened = WalkIndex::open_mapped(&path).unwrap();
+            assert!(owned == opened);
+            if cfg!(all(unix, target_endian = "little")) {
+                assert_eq!(opened.heap_bytes(), 0);
+                assert_eq!(opened.mapped_bytes(), idx.heap_bytes());
+                // The mapped windows and the owned copies hold the same
+                // bits column for column.
+                for (a, b) in owned.layers.iter().zip(&opened.layers) {
+                    assert!(a.offsets.as_slice() == b.offsets.as_slice());
+                    assert!(a.fwd_weights.as_slice() == b.fwd_weights.as_slice());
+                    assert!(b.is_mapped() && !a.is_mapped());
+                }
+            }
+            // Both decoders refuse a CRC-resealed out-of-range id or hop.
+            let good = std::fs::read(&path).unwrap();
+            let n = idx.n() as u32;
+            let l = idx.l() as u16;
+            for (section, value, what) in [
+                (1, (n + 1_000_000).to_le_bytes().to_vec(), "posting id"),
+                (4, n.to_le_bytes().to_vec(), "posting id"),
+                (2, 0u16.to_le_bytes().to_vec(), "hop weight"),
+                (5, (l + 1).to_le_bytes().to_vec(), "hop weight"),
+            ] {
+                let mut bad = good.clone();
+                let at = v4_section_at(&idx, 0, section);
+                bad[at..at + value.len()].copy_from_slice(&value);
+                reseal(&mut bad);
+                let p = dir.join("crafted.rwdidx");
+                std::fs::write(&p, &bad).unwrap();
+                for err in [
+                    WalkIndex::open_mapped(&p).unwrap_err(),
+                    WalkIndex::open_v4(&p, false).unwrap_err(),
+                ] {
+                    assert!(err.to_string().contains(what), "{what}: {err}");
+                }
+                assert!(inspect_index_file(&p).unwrap().crc_ok);
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -3560,45 +3100,24 @@ mod tests {
     }
 
     #[test]
-    fn shard_save_load_round_trips_via_rwdidx3() {
+    fn shard_save_open_round_trips_the_layer_base() {
         let g = paper_example::figure1();
         let range = LayerRange::new(2, 5);
         let part = WalkIndex::build_layer_range(&g, 4, range, 13, 0);
         let dir = std::env::temp_dir().join("rwd_index_io_shard");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("shard.rwdidx");
-        part.save(&path).unwrap();
-        let loaded = WalkIndex::load(&path).unwrap();
+        part.save_v4(&path).unwrap();
+        let loaded = WalkIndex::open_mapped(&path).unwrap();
         assert_eq!(loaded.layer_base(), 2);
         assert_eq!(loaded.layer_range(), range);
         assert!(loaded == part);
-        // A reloaded shard refreshes with the right absolute RNG streams.
+        // A reopened shard refreshes with the right absolute RNG streams.
         let (g1, touched) = g.with_edits(&[(0, 7)], &[]).unwrap();
         let touched = NodeSet::from_nodes(g1.n(), touched);
         let mut refreshed = loaded;
         refreshed.refresh(&g1, &touched);
         assert!(refreshed == WalkIndex::build_layer_range(&g1, 4, range, 13, 0));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn load_layer_range_scopes_a_monolithic_file() {
-        let g = paper_example::figure1();
-        let full = WalkIndex::build(&g, 4, 6, 13);
-        let dir = std::env::temp_dir().join("rwd_index_io_range");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("full.rwdidx");
-        full.save(&path).unwrap();
-        let range = LayerRange::new(1, 4);
-        let loaded = WalkIndex::load_layer_range(&path, range).unwrap();
-        assert!(loaded == WalkIndex::build_layer_range(&g, 4, range, 13, 0));
-        // Out-of-bounds ranges and shard files are rejected by name.
-        let err = WalkIndex::load_layer_range(&path, LayerRange::new(4, 7)).unwrap_err();
-        assert!(err.to_string().contains("layer count"), "{err}");
-        let shard_path = dir.join("shard.rwdidx");
-        loaded.save(&shard_path).unwrap();
-        let err = WalkIndex::load_layer_range(&shard_path, LayerRange::new(0, 1)).unwrap_err();
-        assert!(err.to_string().contains("monolithic"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -52,8 +52,7 @@ pub mod walker;
 pub use delta::{LayerDelta, PostingDelta, PostingEdit};
 pub use estimate::{Estimates, SampleEstimator};
 pub use index::{
-    inspect_index_file, IndexFileInfo, LayerRange, LoadStats, Posting, PostingsRef, RefreshStats,
-    WalkIndex,
+    inspect_index_file, IndexFileInfo, LayerRange, Posting, PostingsRef, RefreshStats, WalkIndex,
 };
 pub use nodeset::NodeSet;
 pub use point::{top_m_from_counts, PartialContribution};

@@ -21,15 +21,15 @@
 //!
 //! The mmap itself is a minimal std-only `mmap(2)`/`munmap(2)` FFI
 //! wrapper (`PROT_READ`, `MAP_PRIVATE`) — no crates. Zero-copy
-//! reinterpretation requires a little-endian host (the on-disk format is
-//! little-endian); the open path enforces that with a compile-time gate
-//! and falls back to the deserializing loader elsewhere. All downstream
-//! accesses go through bounds-checked slices, so even a file that
-//! mutates under the map (which `MAP_PRIVATE` leaves unspecified) can
-//! only produce wrong query answers or a clean panic — never undefined
-//! behaviour. Structural invariants (offset monotonicity) are validated
-//! once at open; bulk payloads are trusted under the file's CRC-32
-//! trailer.
+//! reinterpretation requires a little-endian unix host (the on-disk
+//! format is little-endian); elsewhere the one index reader,
+//! [`WalkIndex::open_mapped`](crate::WalkIndex::open_mapped), reads the
+//! same sections into owned columns instead. All downstream accesses go
+//! through bounds-checked slices, so even a file that mutates under the
+//! map (which `MAP_PRIVATE` leaves unspecified) can only produce wrong
+//! query answers or a clean panic — never undefined behaviour. The
+//! opener checks the CRC-32 trailer once and then validates every
+//! section (offsets, posting ids, hops) before any column is served.
 //!
 //! [`Layer`]: crate::index::WalkIndex
 
@@ -42,7 +42,13 @@ use std::sync::Arc;
 /// Scalars a [`Column`] may store: plain old data with no padding and no
 /// invalid bit patterns, stored little-endian on disk. Sealed — the
 /// on-disk format only ever holds `u16`/`u32`/`u64` columns.
-pub trait Pod: Copy + Send + Sync + Eq + std::fmt::Debug + sealed::Sealed + 'static {}
+pub trait Pod:
+    Copy + Default + Send + Sync + Eq + std::fmt::Debug + sealed::Sealed + 'static
+{
+    /// Converts between host and little-endian byte order (the identity
+    /// on little-endian hosts; its own inverse everywhere).
+    fn to_le(self) -> Self;
+}
 
 mod sealed {
     pub trait Sealed {}
@@ -51,9 +57,21 @@ mod sealed {
     impl Sealed for u64 {}
 }
 
-impl Pod for u16 {}
-impl Pod for u32 {}
-impl Pod for u64 {}
+impl Pod for u16 {
+    fn to_le(self) -> Self {
+        u16::to_le(self)
+    }
+}
+impl Pod for u32 {
+    fn to_le(self) -> Self {
+        u32::to_le(self)
+    }
+}
+impl Pod for u64 {
+    fn to_le(self) -> Self {
+        u64::to_le(self)
+    }
+}
 
 /// A read-only `mmap(2)` window over an entire file, unmapped on drop.
 ///
@@ -178,7 +196,7 @@ mod sys {
     pub(super) fn map(_file: &File) -> io::Result<MmapRegion> {
         Err(io::Error::new(
             io::ErrorKind::Unsupported,
-            "memory-mapped index storage requires a unix host; use the deserializing load path",
+            "memory-mapped index storage requires a unix host",
         ))
     }
 
@@ -351,14 +369,19 @@ impl<T: Pod> std::fmt::Debug for Column<T> {
     }
 }
 
-/// The little-endian byte image of a pod slice, for zero-copy section
-/// writes. Only correct on little-endian hosts; the V4 save path is
-/// gated accordingly.
-#[cfg(target_endian = "little")]
+/// The in-memory byte image of a pod slice — the on-disk encoding on a
+/// little-endian host, for zero-copy section writes.
 pub(crate) fn pod_bytes<T: Pod>(s: &[T]) -> &[u8] {
-    // SAFETY: T is Pod (no padding), and on a little-endian host the
-    // in-memory image is the on-disk encoding.
+    // SAFETY: T is Pod (no padding), so every byte is initialized.
     unsafe { std::slice::from_raw_parts(s.as_ptr() as *const u8, std::mem::size_of_val(s)) }
+}
+
+/// The mutable byte image of a pod slice, for reading a section straight
+/// into an owned column.
+pub(crate) fn pod_bytes_mut<T: Pod>(s: &mut [T]) -> &mut [u8] {
+    // SAFETY: T is Pod (no padding, every bit pattern valid), so any
+    // bytes written through the view leave valid values.
+    unsafe { std::slice::from_raw_parts_mut(s.as_mut_ptr() as *mut u8, std::mem::size_of_val(s)) }
 }
 
 fn bad_col(msg: &str) -> io::Error {

@@ -101,15 +101,15 @@ proptest! {
 
 #[test]
 fn forward_view_survives_save_load() {
-    // The RWDIDX2 file stores only the inverted lists; load must rebuild an
-    // identical forward view by the same canonical transposition.
+    // The RWDIDX4 file stores the forward view beside the inverted lists;
+    // the reopened index must serve exactly the canonical transposition.
     let g = rwd_graph::generators::barabasi_albert(200, 3, 77).unwrap();
     let idx = WalkIndex::build(&g, 6, 8, 9);
     let dir = std::env::temp_dir().join("rwd_forward_io");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("fwd.rwdidx");
-    idx.save(&path).unwrap();
-    let loaded = WalkIndex::load(&path).unwrap();
+    idx.save_v4(&path).unwrap();
+    let loaded = WalkIndex::open_mapped(&path).unwrap();
     for layer in 0..idx.r() {
         for src in g.nodes() {
             assert_eq!(loaded.forward(layer, src), idx.forward(layer, src));

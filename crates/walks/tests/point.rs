@@ -85,15 +85,15 @@ proptest! {
 
 #[test]
 fn point_queries_survive_save_load() {
-    // A reloaded index rebuilds its forward view canonically; the point
-    // queries must keep answering identically.
+    // A reopened index serves the saved forward view; the point queries
+    // must keep answering identically.
     let g = rwd_graph::generators::erdos_renyi_gnp(60, 0.08, 3).unwrap();
     let idx = WalkIndex::build(&g, 5, 4, 17);
     let dir = std::env::temp_dir().join("rwd_point_io");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("g.rwdidx");
-    idx.save(&path).unwrap();
-    let loaded = WalkIndex::load(&path).unwrap();
+    idx.save_v4(&path).unwrap();
+    let loaded = WalkIndex::open_mapped(&path).unwrap();
     let set = NodeSet::from_nodes(60, [NodeId(0), NodeId(7), NodeId(31)]);
     for v in g.nodes() {
         assert_eq!(

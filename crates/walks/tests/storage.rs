@@ -1,13 +1,13 @@
-//! Corpus tests for the index storage formats and the zero-copy open.
+//! Corpus tests for the index file format and its one reader.
 //!
-//! Three claims are pinned here. **Compatibility:** V2/V3 files written by
-//! `save()` keep loading bit-exactly, and RWDIDX4 files deserialize-load
-//! to the same bits `open_mapped` serves in place. **Rejection:** a
-//! truncated, misaligned or bit-rotted V4 file fails with a *named* error
-//! on every open path — never a panic, never a silently wrong index.
-//! **Bounded load memory:** the deserializing open's transient high-water
-//! mark stays under a quarter of the final index footprint, so peak RSS
-//! during a load is ≤ 1.25× the index it produces.
+//! Two claims are pinned here. **Round trip:** an RWDIDX4 file written
+//! by `save_v4` opens (mapped where the host allows) to the same bits as
+//! the index that wrote it, for monolithic and layer-range shard files
+//! alike, and `inspect_index_file` reports its header facts. **Rejection:**
+//! a truncated, misaligned, bit-rotted or obsolete-format file fails with
+//! a *named* error on the opener and the inspector — never a panic, never
+//! a silently wrong index. `tests/decoder_fuzz.rs` sweeps the same
+//! contract over seeded mutations.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -27,7 +27,8 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// True when this host has the zero-copy path at all.
+/// True when this host serves columns from the map (elsewhere the opener
+/// reads the same sections into owned columns).
 fn mapped_path_available() -> bool {
     cfg!(unix) && cfg!(target_endian = "little")
 }
@@ -38,96 +39,47 @@ fn sample_graph() -> CsrGraph {
 }
 
 #[test]
-fn v2_and_v3_compat_files_still_load() {
-    let g = sample_graph();
-    let dir = tmp_dir("compat");
-
-    // Monolith → RWDIDX2.
-    let idx = WalkIndex::build(&g, 5, 6, 77);
-    let p2 = dir.join("mono.rwdidx");
-    idx.save(&p2).unwrap();
-    assert_eq!(WalkIndex::load(&p2).unwrap(), idx);
-    let info = inspect_index_file(&p2).unwrap();
-    assert_eq!(info.version, 2);
-    assert_eq!((info.n, info.l, info.layer_count), (60, 5, 6));
-    assert_eq!(info.layer_base, 0);
-    assert_eq!(info.section_align, None);
-    assert!(info.crc_ok);
-    assert_eq!(info.total_postings, idx.total_postings() as u64);
-
-    // Layer-range shard → RWDIDX3.
-    let shard = WalkIndex::build_layer_range(&g, 5, LayerRange::new(2, 5), 77, 0);
-    let p3 = dir.join("shard.rwdidx");
-    shard.save(&p3).unwrap();
-    assert_eq!(WalkIndex::load(&p3).unwrap(), shard);
-    let info = inspect_index_file(&p3).unwrap();
-    assert_eq!(info.version, 3);
-    assert_eq!((info.layer_count, info.layer_base), (3, 2));
-    assert_eq!(info.section_align, None);
-    assert!(info.crc_ok);
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn v4_load_and_mapped_open_are_bit_identical_to_the_built_index() {
+fn v4_open_is_bit_identical_to_the_built_index() {
     let g = sample_graph();
     let idx = WalkIndex::build(&g, 6, 8, 5);
     let dir = tmp_dir("v4");
     let path = dir.join("mono.rwdidx");
     idx.save_v4(&path).unwrap();
 
-    // Deserialize path: every column back on the heap, same bits.
-    let loaded = WalkIndex::load(&path).unwrap();
-    assert_eq!(loaded, idx);
-    assert_eq!(loaded.mapped_bytes(), 0);
-
     let info = inspect_index_file(&path).unwrap();
-    assert_eq!(info.version, 4);
     assert_eq!(
         (info.n, info.l, info.layer_count, info.layer_base),
         (60, 6, 8, 0)
     );
-    assert_eq!(info.section_align, Some(8));
+    assert_eq!(info.section_align, 8);
     assert!(info.crc_ok);
     assert_eq!(info.total_postings, idx.total_postings() as u64);
+    assert_eq!(info.file_bytes, std::fs::metadata(&path).unwrap().len());
 
-    if !mapped_path_available() {
-        std::fs::remove_dir_all(&dir).ok();
-        return;
+    // Same bits by value, whichever store the columns live in.
+    let opened = WalkIndex::open_mapped(&path).unwrap();
+    assert_eq!(opened, idx);
+    assert_eq!(
+        opened.memory_bytes(),
+        opened.heap_bytes() + opened.mapped_bytes()
+    );
+    if mapped_path_available() {
+        assert_eq!(opened.mapped_layers(), idx.r());
+        assert!(opened.mapped_bytes() > 0, "postings should live in the map");
+        assert_eq!(
+            opened.heap_bytes(),
+            0,
+            "a fresh mapped open owns no column bytes"
+        );
     }
 
-    // Zero-copy path: same bits by value, columns live in the map.
-    let mapped = WalkIndex::open_mapped(&path).unwrap();
-    assert_eq!(mapped, idx);
-    assert_eq!(mapped.mapped_layers(), idx.r());
-    assert!(mapped.mapped_bytes() > 0, "postings should live in the map");
-    assert_eq!(
-        mapped.heap_bytes(),
-        0,
-        "a fresh whole-file mapped open owns no column bytes"
-    );
-    assert_eq!(
-        mapped.memory_bytes(),
-        mapped.heap_bytes() + mapped.mapped_bytes()
-    );
-
-    // Round-trip: re-saving the mapped index reproduces the exact file,
-    // and the V2 writer doesn't care where the columns live either.
+    // Round-trip: re-saving the opened index reproduces the exact file.
     let resaved = dir.join("resaved.rwdidx");
-    mapped.save_v4(&resaved).unwrap();
+    opened.save_v4(&resaved).unwrap();
     assert_eq!(
         std::fs::read(&path).unwrap(),
         std::fs::read(&resaved).unwrap(),
-        "save_v4 of a mapped index must be byte-identical to the source file"
-    );
-    let via_mapped = dir.join("mapped.v2.rwdidx");
-    let via_owned = dir.join("owned.v2.rwdidx");
-    mapped.save(&via_mapped).unwrap();
-    idx.save(&via_owned).unwrap();
-    assert_eq!(
-        std::fs::read(&via_mapped).unwrap(),
-        std::fs::read(&via_owned).unwrap()
+        "save_v4 of an opened index must be byte-identical to the source file"
     );
 
     std::fs::remove_dir_all(&dir).ok();
@@ -135,70 +87,71 @@ fn v4_load_and_mapped_open_are_bit_identical_to_the_built_index() {
 
 #[test]
 fn v4_layer_range_opens_match_build_layer_range() {
+    // Each shard of a tiling saves its own file with its absolute layer
+    // base; opening it yields exactly the shard `build_layer_range` built.
     let g = sample_graph();
-    let idx = WalkIndex::build(&g, 4, 7, 21);
     let dir = tmp_dir("range");
-    let path = dir.join("mono.rwdidx");
-    idx.save_v4(&path).unwrap();
-
-    let range = LayerRange::new(2, 6);
-    let built = WalkIndex::build_layer_range(&g, 4, range, 21, 0);
-    assert_eq!(WalkIndex::load_layer_range(&path, range).unwrap(), built);
-    if mapped_path_available() {
-        let mapped = WalkIndex::open_mapped_layer_range(&path, range).unwrap();
-        assert_eq!(mapped, built);
-        assert_eq!(mapped.mapped_layers(), range.len());
-
-        // A shard file (nonzero layer base) cannot be re-scoped.
-        let shard_path = dir.join("shard.rwdidx");
-        built.save_v4(&shard_path).unwrap();
-        let err =
-            WalkIndex::open_mapped_layer_range(&shard_path, LayerRange::new(0, 2)).unwrap_err();
-        assert!(err.to_string().contains("monolithic"), "{err}");
-
-        // A range past the stored layer count is refused by name.
-        let err = WalkIndex::open_mapped_layer_range(&path, LayerRange::new(5, 9)).unwrap_err();
-        assert!(
-            err.to_string().contains("exceeds the file's layer count"),
-            "{err}"
+    for range in LayerRange::partition(7, 3) {
+        let built = WalkIndex::build_layer_range(&g, 4, range, 21, 0);
+        let path = dir.join(format!("shard-{}.rwdidx", range.start()));
+        built.save_v4(&path).unwrap();
+        let opened = WalkIndex::open_mapped(&path).unwrap();
+        assert_eq!(opened, built);
+        assert_eq!(opened.layer_range(), range);
+        if mapped_path_available() {
+            assert_eq!(opened.mapped_layers(), range.len());
+        }
+        let info = inspect_index_file(&path).unwrap();
+        assert_eq!(
+            (info.layer_base, info.layer_count),
+            (range.start() as u64, range.len() as u64)
         );
     }
-
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-#[cfg(unix)]
 fn mapped_open_rejects_non_v4_files_by_name() {
-    if !mapped_path_available() {
-        return;
-    }
-    let g = sample_graph();
-    let idx = WalkIndex::build(&g, 3, 4, 9);
     let dir = tmp_dir("reject");
 
-    // V2/V3 files have no zero-copy layout: named rejection, load() works.
-    let p2 = dir.join("v2.rwdidx");
-    idx.save(&p2).unwrap();
-    let err = WalkIndex::open_mapped(&p2).unwrap_err();
-    assert!(err.to_string().contains("no zero-copy open"), "{err}");
-    assert_eq!(WalkIndex::load(&p2).unwrap(), idx);
+    // Every retired layout — the AoS RWDIDX1 and the packed RWDIDX2/3 —
+    // is refused by the opener and the inspector with one named error.
+    for old in ["RWDIDX1", "RWDIDX2", "RWDIDX3"] {
+        let p = dir.join(format!("{old}.rwdidx"));
+        let mut bytes = format!("{old}\0").into_bytes();
+        bytes.extend_from_slice(&[0u8; 48]);
+        std::fs::write(&p, &bytes).unwrap();
+        for err in [
+            WalkIndex::open_mapped(&p).unwrap_err(),
+            inspect_index_file(&p).unwrap_err(),
+        ] {
+            let msg = err.to_string();
+            assert!(
+                msg.contains("obsolete walk-index format") && msg.contains(old),
+                "{msg}"
+            );
+            assert!(msg.contains("rebuild the index"), "{msg}");
+        }
+    }
 
-    // The obsolete AoS layout and arbitrary bytes are named too.
-    let p1 = dir.join("v1.rwdidx");
-    std::fs::write(&p1, b"RWDIDX1\0some old payload").unwrap();
-    let err = WalkIndex::open_mapped(&p1).unwrap_err();
-    assert!(err.to_string().contains("RWDIDX1"), "{err}");
+    // Arbitrary bytes and an empty file are named too.
     let junk = dir.join("junk.rwdidx");
     std::fs::write(&junk, b"definitely not an index").unwrap();
     let err = WalkIndex::open_mapped(&junk).unwrap_err();
     assert!(err.to_string().contains("bad magic"), "{err}");
+    let empty = dir.join("empty.rwdidx");
+    std::fs::write(&empty, b"").unwrap();
+    assert_eq!(
+        WalkIndex::open_mapped(&empty).unwrap_err().kind(),
+        std::io::ErrorKind::InvalidData
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Every structural damage mode of a V4 file yields the same named error
-/// on the deserializing and (where available) the mapped open path.
+/// on the opener and the inspector (which reports a CRC mismatch instead
+/// of failing, so damaged files can be triaged).
 #[test]
 fn damaged_v4_files_are_rejected_by_name_on_every_open_path() {
     let g = sample_graph();
@@ -209,11 +162,10 @@ fn damaged_v4_files_are_rejected_by_name_on_every_open_path() {
     let pristine = std::fs::read(&path).unwrap();
 
     let open_errors = |p: &PathBuf| -> Vec<String> {
-        let mut errs = vec![WalkIndex::load(p).unwrap_err().to_string()];
-        if mapped_path_available() {
-            errs.push(WalkIndex::open_mapped(p).unwrap_err().to_string());
-        }
-        errs
+        vec![
+            WalkIndex::open_mapped(p).unwrap_err().to_string(),
+            inspect_index_file(p).unwrap_err().to_string(),
+        ]
     };
 
     // Cut inside the fixed header: truncated.
@@ -255,41 +207,11 @@ fn damaged_v4_files_are_rejected_by_name_on_every_open_path() {
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x01;
     std::fs::write(&p, &bytes).unwrap();
-    for e in open_errors(&p) {
-        assert!(e.contains("content checksum mismatch"), "{e}");
-    }
+    let e = WalkIndex::open_mapped(&p).unwrap_err().to_string();
+    assert!(e.contains("content checksum mismatch"), "{e}");
     let info = inspect_index_file(&p).unwrap();
     assert!(!info.crc_ok, "inspect must notice the rot");
-    assert_eq!((info.version, info.n, info.layer_count), (4, 60, 6));
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// The bounded-peak claim behind the deserializing open: transient buffers
-/// (CRC chunk + per-worker block + transposition staging) stay under a
-/// quarter of the final index, i.e. peak RSS ≤ 1.25× the loaded index.
-/// Holds for both the packed V2 layout and the aligned V4 layout.
-#[test]
-fn deserializing_load_peak_memory_is_bounded() {
-    let g = rwd_graph::generators::barabasi_albert(2000, 6, 3).unwrap();
-    let idx = WalkIndex::build(&g, 8, 6, 4242);
-    let dir = tmp_dir("peak");
-    let p2 = dir.join("mono.v2.rwdidx");
-    let p4 = dir.join("mono.v4.rwdidx");
-    idx.save(&p2).unwrap();
-    idx.save_v4(&p4).unwrap();
-
-    for p in [&p2, &p4] {
-        let (loaded, stats) = WalkIndex::load_with_stats(p, 1).unwrap();
-        assert_eq!(loaded, idx);
-        assert!(
-            stats.transient_peak_bytes <= idx.memory_bytes() / 4,
-            "load of {} held {} transient bytes against a {}-byte index",
-            p.display(),
-            stats.transient_peak_bytes,
-            idx.memory_bytes()
-        );
-    }
+    assert_eq!((info.n, info.layer_count), (60, 6));
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -25,7 +25,7 @@ use rwd::core::greedy::approx::GainRule;
 use rwd::datasets::temporal::trace_weight;
 use rwd::graph::weighted::weighted_twin;
 use rwd::prelude::*;
-use rwd::stream::{DurabilityConfig, DurableEngine, OpenMode, StreamError};
+use rwd::stream::{DurabilityConfig, DurableEngine, StreamError};
 
 const THREADS: [usize; 3] = [1, 2, 8];
 const SHARDS: [usize; 3] = [1, 2, 4];
@@ -412,21 +412,16 @@ fn check_every_kill_point(
         std::fs::remove_dir_all(&killed).ok();
     }
 
-    // Untouched dir: full recovery equals the live engine it shadows —
-    // through BOTH open paths. The zero-copy mapped open and the streaming
-    // deserialize open must reconstruct the same bits before replaying the
-    // same journal suffix.
-    for mode in [OpenMode::Mapped, OpenMode::Deserialize] {
-        let (rec, report) =
-            DurableEngine::open_with(&dir, DurabilityConfig::default(), mode).unwrap();
-        assert!(report.torn_tail.is_none());
-        assert_eq!(
-            fingerprint(rec.engine()),
-            live,
-            "full recovery ({mode:?} open) != live engine"
-        );
-        drop(rec);
-    }
+    // Untouched dir: full recovery through the one open path equals the
+    // live engine it shadows.
+    let (rec, report) = DurableEngine::open(&dir, DurabilityConfig::default()).unwrap();
+    assert!(report.torn_tail.is_none());
+    assert_eq!(
+        fingerprint(rec.engine()),
+        live,
+        "full recovery != live engine"
+    );
+    drop(rec);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -159,10 +159,10 @@ fn tile(r: usize, shards: usize) -> Vec<LayerRange> {
 }
 
 /// Promote-on-refresh ≡ owned-refresh across the shard × thread grid: each
-/// shard opens its layer range zero-copy from the monolithic snapshot,
-/// refreshes against the churned graph (promoting every mapped layer),
-/// and must land bit-exactly on the owned shard's refresh — which itself
-/// equals a from-scratch build on the new graph.
+/// shard saves its own layer range and reopens it zero-copy, refreshes
+/// against the churned graph (promoting every mapped layer), and must
+/// land bit-exactly on the owned shard's refresh — which itself equals a
+/// from-scratch build on the new graph.
 #[test]
 fn promote_on_refresh_matches_owned_refresh_across_shards_and_threads() {
     if !mapped_path_available() {
@@ -171,8 +171,6 @@ fn promote_on_refresh_matches_owned_refresh_across_shards_and_threads() {
     let (l, r, seed) = (5u32, 8usize, 23u64);
     let g0 = rwd::graph::generators::barabasi_albert(80, 3, 17).unwrap();
     let dir = tmp_dir("grid");
-    let path = dir.join("mono.rwdidx");
-    WalkIndex::build(&g0, l, r, seed).save_v4(&path).unwrap();
 
     // Churn: drop one live edge, add two absent ones.
     let mut edges: Vec<(u32, u32)> = g0.edges().map(|(u, v)| (u.raw(), v.raw())).collect();
@@ -203,9 +201,11 @@ fn promote_on_refresh_matches_owned_refresh_across_shards_and_threads() {
         for threads in THREADS {
             for range in tile(r, shards) {
                 let mut owned = WalkIndex::build_layer_range(&g0, l, range, seed, threads);
+                let path = dir.join(format!("shard-{}.rwdidx", range.start()));
+                owned.save_v4(&path).unwrap();
                 owned.refresh_with_threads(&g1, &touched, threads);
 
-                let mut mapped = WalkIndex::open_mapped_layer_range(&path, range).unwrap();
+                let mut mapped = WalkIndex::open_mapped(&path).unwrap();
                 assert_eq!(mapped.mapped_layers(), range.len());
                 mapped.refresh_with_threads(&g1, &touched, threads);
                 assert_eq!(
